@@ -30,7 +30,7 @@ pub fn all_bench_fields() -> Vec<(DatasetId, Field)> {
 
 /// Resolve a REL bound for a field.
 pub fn eb_for(field: &Field, rel: f64) -> f64 {
-    ErrorBound::Rel(rel).absolute(field.value_range() as f64)
+    harness::resolve_bound(field, ErrorBound::Rel(rel))
 }
 
 /// Run one full compression pipeline; returns compressed bytes (to keep

@@ -15,6 +15,10 @@ use serde::{Deserialize, Serialize};
 /// Archive magic bytes.
 pub const ARCHIVE_MAGIC: [u8; 8] = *b"CUSZPAR1";
 
+/// Smallest serialized entry: name length, rank, one extent and the
+/// stream length, with an empty name and stream.
+const MIN_ENTRY_BYTES: usize = 2 + 1 + 8 + 8;
+
 /// One named, shaped compressed field.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Entry {
@@ -109,18 +113,26 @@ impl Archive {
     pub fn from_bytes(bytes: &[u8]) -> Result<Archive, FormatError> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], FormatError> {
-            if *pos + n > bytes.len() {
+            if n > bytes.len() - *pos {
                 return Err(FormatError::Truncated);
             }
             let s = &bytes[*pos..*pos + n];
             *pos += n;
             Ok(s)
         };
+        let read_u64 = |pos: &mut usize| -> Result<u64, FormatError> {
+            Ok(u64::from_le_bytes(
+                take(pos, 8)?.try_into().expect("len checked"),
+            ))
+        };
         if take(&mut pos, 8)? != ARCHIVE_MAGIC {
             return Err(FormatError::BadMagic);
         }
         let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("len checked"));
-        let mut entries = Vec::with_capacity(count as usize);
+        // The count is untrusted: reserve no more entries than the
+        // remaining bytes could hold.
+        let mut entries =
+            Vec::with_capacity((count as usize).min((bytes.len() - pos) / MIN_ENTRY_BYTES));
         for _ in 0..count {
             let name_len =
                 u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("len checked")) as usize;
@@ -130,20 +142,26 @@ impl Archive {
             if !(1..=4).contains(&ndim) {
                 return Err(FormatError::Corrupt("bad entry rank"));
             }
-            let mut shape = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                shape.push(
-                    u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("len checked"))
-                        as usize,
-                );
+            // Extents and the stream length stay `u64` until checked, so
+            // a 32-bit target cannot truncate a forged value into a
+            // plausible one.
+            let mut extents = [0u64; 4];
+            for d in &mut extents[..ndim] {
+                *d = read_u64(&mut pos)?;
             }
+            let extents = &extents[..ndim];
             let stream_len =
-                u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("len checked")) as usize;
+                usize::try_from(read_u64(&mut pos)?).map_err(|_| FormatError::Truncated)?;
             let stream = Compressed::from_bytes(take(&mut pos, stream_len)?)?;
-            let n: usize = shape.iter().product();
-            if n as u64 != stream.num_elements {
+            let n = extents.iter().try_fold(1u64, |n, &d| n.checked_mul(d));
+            if n != Some(stream.num_elements) {
                 return Err(FormatError::Corrupt("entry shape vs stream length"));
             }
+            let shape = extents
+                .iter()
+                .map(|&d| usize::try_from(d))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|_| FormatError::Corrupt("entry extent exceeds usize"))?;
             entries.push(Entry {
                 name,
                 shape,
@@ -225,6 +243,47 @@ mod tests {
         trailing.push(0);
         assert!(matches!(
             Archive::from_bytes(&trailing),
+            Err(FormatError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn untrusted_lengths_return_errors() {
+        // A bare header claiming u32::MAX entries must not reserve for them.
+        let mut bytes = ARCHIVE_MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 12);
+        assert_eq!(Archive::from_bytes(&bytes), Err(FormatError::Truncated));
+
+        // A stream length near usize::MAX must not wrap the bounds check.
+        let mut bytes = ARCHIVE_MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u16.to_le_bytes()); // empty name
+        bytes.push(1);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(Archive::from_bytes(&bytes), Err(FormatError::Truncated));
+    }
+
+    #[test]
+    fn overflowing_shape_is_corrupt() {
+        let mut bytes = sample().to_bytes();
+        // Entry "alpha": 12-byte header, name length + name, rank, then
+        // the two extents; make their product overflow u64.
+        let extents = 12 + 2 + 5 + 1;
+        bytes[extents..extents + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[extents + 8..extents + 16].copy_from_slice(&2u64.to_le_bytes());
+        assert!(matches!(
+            Archive::from_bytes(&bytes),
+            Err(FormatError::Corrupt(_))
+        ));
+
+        // 8 + 2^32 by 30: truncated to 32 bits the product is the true
+        // 240 elements, so the check must run on the full u64 extents.
+        let mut bytes = sample().to_bytes();
+        bytes[extents..extents + 8].copy_from_slice(&(8u64 + (1 << 32)).to_le_bytes());
+        assert!(matches!(
+            Archive::from_bytes(&bytes),
             Err(FormatError::Corrupt(_))
         ));
     }

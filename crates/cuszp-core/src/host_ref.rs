@@ -106,6 +106,26 @@ pub fn decompress<T: FloatData>(c: &Compressed) -> Vec<T> {
     out
 }
 
+/// Value range (max − min over the finite elements) — the plain `f64`
+/// loop [`crate::value_range`] must match bit for bit (up to the sign of
+/// a zero range). NaN and ±∞ are skipped; no finite values gives `0.0`.
+pub fn value_range<T: FloatData>(data: &[T]) -> f64 {
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    for &v in data {
+        let v = v.to_f64();
+        if v.is_finite() {
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+    }
+    if hi >= lo {
+        hi - lo
+    } else {
+        0.0 // empty, or no finite values
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -81,21 +81,12 @@ use gpu_sim::{DeviceBuffer, Gpu};
 /// surfacing as a confusing "bound must be positive" panic far from the
 /// cause. A dataset with no finite values has range `0.0` (like an empty
 /// one), which [`ErrorBound::absolute`] rejects with a clear message.
+///
+/// Runs the tier-dispatched min/max kernel ([`simd::value_range_at`] at
+/// [`simd::resolve_level`]`(None)`, so `CUSZP_SIMD` pins it), bit-identical
+/// to the [`host_ref::value_range`] loop.
 pub fn value_range<T: FloatData>(data: &[T]) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in data {
-        let v = v.to_f64();
-        if v.is_finite() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
-    if hi >= lo {
-        hi - lo
-    } else {
-        0.0 // empty, or no finite values
-    }
+    simd::value_range_at(simd::resolve_level(None), data)
 }
 
 /// The cuSZp codec with a fixed configuration.

@@ -17,6 +17,7 @@
 //! | dequantize | ✓ | (scalar) | 8-lane `vcvtqq2pd` |
 //! | `L = 32` block encode | strip codec | `F ≤ 16` | `F ≤ 64` |
 //! | `L = 32` block decode | strip codec | `F ≤ 16`, fused | `F ≤ 64`, fused |
+//! | value range (min/max) | 16-lane select | same body, 32 lanes | same body, 64 lanes |
 //!
 //! The AVX2 tier leaves quantize/dequantize scalar on purpose: AVX2 has
 //! no exact `f64`↔`i64` vector converts, and an approximate one would
@@ -54,8 +55,8 @@
 //! Every public function here is a drop-in for the scalar loop it
 //! replaces: same outputs for every input, only faster. The differential
 //! suites (`fast` unit tests, `tests/fast_vs_ref.rs`,
-//! `tests/simd_tiers.rs`) pin this down against [`crate::host_ref`],
-//! which still runs the scalar forms.
+//! `tests/simd_tiers.rs`, `tests/value_range.rs`) pin this down against
+//! [`crate::host_ref`], which still runs the scalar forms.
 
 use crate::config::SimdLevel;
 use crate::dtype::{DType, FloatData};
@@ -252,6 +253,120 @@ pub fn dequantize_slice<T: FloatData>(level: SimdLevel, q: &[i64], eb: f64, out:
         }
     }
 }
+
+/// Value range (max − min over the finite elements) of `data` at tier
+/// `level`: the REL bound denominator behind [`crate::value_range`]. NaN
+/// and ±∞ are skipped; an empty or all-non-finite input gives `0.0`.
+///
+/// Bit-identical to [`crate::host_ref::value_range`]: min and max
+/// *select* elements, never compute them, and `f32 → f64` widening is
+/// exact and order-preserving, so reducing `f32` natively and widening
+/// only the two winners gives the reference's all-`f64` pair. The one
+/// freedom is which zero wins a `-0.0` / `+0.0` tie, which can change
+/// only the sign of a zero range.
+pub fn value_range_at<T: FloatData>(level: SimdLevel, data: &[T]) -> f64 {
+    debug_assert!(level <= detect_level());
+    // SAFETY: FloatData is sealed, so T::DTYPE faithfully tags the
+    // element type.
+    let (lo, hi) = unsafe {
+        match T::DTYPE {
+            DType::F32 => {
+                let s = std::slice::from_raw_parts(data.as_ptr().cast::<f32>(), data.len());
+                let (lo, hi) = min_max_f32(level, s);
+                (lo as f64, hi as f64)
+            }
+            DType::F64 => min_max_f64(
+                level,
+                std::slice::from_raw_parts(data.as_ptr().cast(), data.len()),
+            ),
+        }
+    };
+    if hi >= lo {
+        hi - lo
+    } else {
+        0.0 // empty, or no finite values
+    }
+}
+
+/// Stamps out, per element type, the min/max kernel and its tier
+/// dispatcher. There is one kernel body, lane-parallel and branchless:
+/// each of `L` lanes swaps a non-finite element for the identity (`+∞`
+/// for min, `−∞` for max) and keeps its own accumulator pair, which LLVM
+/// turns into packed compare/select/min/max. The vector tiers compile
+/// that same body under `#[target_feature]`. Each tier takes one lane per
+/// byte of its vector register (16 / 32 / 64): four registers per `f32`
+/// accumulator, eight per `f64`, so the loop is bound by loads rather
+/// than by the min/max latency chain. With fewer lanes LLVM leaves the
+/// loop scalar and it runs 3–4× slower.
+macro_rules! min_max {
+    ($min_max:ident, $lanes:ident, $fold:ident, $t:ty) => {
+        /// Fold `data` into the running `(lo, hi)`, skipping NaN and ±∞
+        /// (`|v| < ∞` is false for exactly those).
+        fn $fold(mut lo: $t, mut hi: $t, data: &[$t]) -> ($t, $t) {
+            for &v in data {
+                let finite = v.abs() < <$t>::INFINITY;
+                if finite & (v < lo) {
+                    lo = v;
+                }
+                if finite & (v > hi) {
+                    hi = v;
+                }
+            }
+            (lo, hi)
+        }
+
+        /// `(min, max)` over the finite elements of `data` with `L`
+        /// lanes; `(+∞, −∞)` when there are none.
+        #[inline(always)]
+        fn $lanes<const L: usize>(data: &[$t]) -> ($t, $t) {
+            let mut lo = [<$t>::INFINITY; L];
+            let mut hi = [<$t>::NEG_INFINITY; L];
+            let chunks = data.chunks_exact(L);
+            let tail = chunks.remainder();
+            for c in chunks {
+                let c: &[$t; L] = c.try_into().expect("exact chunk");
+                for i in 0..L {
+                    let v = c[i];
+                    let finite = v.abs() < <$t>::INFINITY;
+                    let to_min = if finite { v } else { <$t>::INFINITY };
+                    let to_max = if finite { v } else { <$t>::NEG_INFINITY };
+                    lo[i] = if to_min < lo[i] { to_min } else { lo[i] };
+                    hi[i] = if to_max > hi[i] { to_max } else { hi[i] };
+                }
+            }
+            let (l, h) = $fold(<$t>::INFINITY, <$t>::NEG_INFINITY, &lo);
+            let (l, h) = $fold(l, h, &hi);
+            $fold(l, h, tail)
+        }
+
+        /// `(min, max)` over the finite elements of `data` at tier
+        /// `level`; `(+∞, −∞)` when there are none.
+        fn $min_max(level: SimdLevel, data: &[$t]) -> ($t, $t) {
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            unsafe fn avx512(data: &[$t]) -> ($t, $t) {
+                $lanes::<64>(data)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            unsafe fn avx2(data: &[$t]) -> ($t, $t) {
+                $lanes::<32>(data)
+            }
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `level ≤ detect_level()` implies the features.
+                SimdLevel::Avx512 => unsafe { avx512(data) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as above.
+                SimdLevel::Avx2 => unsafe { avx2(data) },
+                _ => $lanes::<16>(data),
+            }
+        }
+    };
+}
+
+min_max!(min_max_f32, min_max_lanes_f32, fold_min_max_f32, f32);
+min_max!(min_max_f64, min_max_lanes_f64, fold_min_max_f64, f64);
 
 /// Largest per-block bit width `F` the `L = 32` vector block codec
 /// handles at `level` (both directions); `0` means no vector block codec

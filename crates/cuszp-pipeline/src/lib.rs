@@ -61,7 +61,9 @@ pub struct PipelineConfig {
     pub codec: CuszpConfig,
     /// `Some(spec)`: each worker owns a simulated GPU of this model and
     /// compresses with the fused device kernel, so per-stream stats carry
-    /// simulated kernel time. `None`: host reference codec.
+    /// simulated kernel time. `None`: each worker runs the host fast
+    /// codec (`fast::compress_with`, single-threaded, on its own arena),
+    /// byte-identical to the `host_ref` oracle.
     pub device: Option<DeviceSpec>,
 }
 
@@ -204,6 +206,10 @@ impl<T: FloatData> Pipeline<T> {
     ///
     /// The bound is resolved against the whole field before chunking, so
     /// REL means the same absolute tolerance as single-shot compression.
+    /// Resolution runs here, on the submitting thread, before any worker
+    /// sees a chunk of the field: it is the one serial pass over the
+    /// data, and [`cuszp_core::value_range`] runs it at memory speed
+    /// (a tier-dispatched min/max kernel).
     pub fn submit(&mut self, name: &str, data: Vec<T>, bound: ErrorBound) -> usize {
         let idx = self.fields.len();
         let submitted = Instant::now();

@@ -51,9 +51,10 @@ pub struct Measurement {
     pub reconstruction: Vec<f32>,
 }
 
-/// Resolve an [`ErrorBound`] against a field's value range.
+/// Resolve an [`ErrorBound`] against a field's value range, with the
+/// codec's own REL denominator ([`cuszp_core::value_range`]).
 pub fn resolve_bound(field: &Field, bound: ErrorBound) -> f64 {
-    bound.absolute(field.value_range() as f64)
+    bound.absolute(cuszp_core::value_range(&field.data))
 }
 
 /// Run `comp` over `field` on a fresh device of `spec` and measure
@@ -132,5 +133,24 @@ mod tests {
     fn rel_bound_resolution_uses_range() {
         let field = Field::new("x", vec![2], vec![0.0, 100.0]);
         assert!((resolve_bound(&field, ErrorBound::Rel(1e-2)) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rel_bound_matches_the_codec() {
+        // Same denominator as the codec: ±∞ skipped, difference in f64.
+        let field = Field::new(
+            "x",
+            vec![4],
+            vec![-0.1, f32::INFINITY, 0.2, f32::NEG_INFINITY],
+        );
+        let eb = resolve_bound(&field, ErrorBound::Rel(1e-2));
+        assert_eq!(
+            eb,
+            ErrorBound::Rel(1e-2).absolute(0.2f32 as f64 - -0.1f32 as f64)
+        );
+        assert_eq!(
+            eb,
+            cuszp_core::Cuszp::new().resolve_bound(&field.data, ErrorBound::Rel(1e-2))
+        );
     }
 }
