@@ -1,17 +1,17 @@
 //! Host codec throughput: `host_ref` (the step-by-step oracle) against
 //! the word-parallel two-phase `fast` codec, both directions, both
 //! element types, at **every SIMD tier the host supports** (scalar /
-//! avx2 / avx512, forced per row through `CuszpConfig::simd` and the
-//! `_at` decompress entry points). The harness experiment
+//! avx2 / avx512, forced per row through `CuszpConfig::simd` and
+//! `decompress_into_threaded_at`). The harness experiment
 //! `repro host_codec` records the same comparison into
 //! `BENCH_host_codec.json`; this criterion target gives the
 //! statistically careful local view. Decompress rows use the warm-arena
-//! `decompress_into_at` serving path so they measure the codec, not the
-//! allocator; `decompress_fast_owned` keeps the allocating wrapper on
-//! the record at the auto tier.
+//! `decompress_into_threaded_at` serving path so they measure the codec,
+//! not the allocator; `decompress_fast_owned` keeps the allocating
+//! `Cuszp::decompress` wrapper on the record at the auto tier.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cuszp_core::{fast, host_ref, simd, CuszpConfig, FloatData, Scratch, SimdLevel};
+use cuszp_core::{fast, host_ref, simd, Cuszp, CuszpConfig, FloatData, Scratch, SimdLevel};
 use std::hint::black_box;
 
 fn corpus<T: FloatData>(n: usize) -> Vec<T> {
@@ -56,7 +56,8 @@ fn bench_dtype<T: FloatData + Default + Copy>(c: &mut Criterion, tag: &str) {
         });
         group.bench_function(format!("compress_fast_mt_{level}"), |b| {
             b.iter(|| {
-                black_box(fast::compress_threaded(black_box(&data), eb, cfg, 0).stream_bytes())
+                let c = fast::compress_with(&mut Scratch::new(), black_box(&data), eb, cfg, 0);
+                black_box(c.stream_bytes())
             })
         });
 
@@ -64,8 +65,9 @@ fn bench_dtype<T: FloatData + Default + Copy>(c: &mut Criterion, tag: &str) {
         let mut out = vec![T::default(); n];
         group.bench_function(format!("decompress_fast_{level}"), |b| {
             b.iter(|| {
-                fast::decompress_into_at(
+                fast::decompress_into_threaded_at(
                     black_box(stream.as_ref()),
+                    1,
                     &mut scratch,
                     Some(level),
                     &mut out,
@@ -90,7 +92,7 @@ fn bench_dtype<T: FloatData + Default + Copy>(c: &mut Criterion, tag: &str) {
     // The allocating wrapper at the auto-detected tier: what callers pay
     // when they skip the arena API.
     group.bench_function("decompress_fast_owned", |b| {
-        b.iter(|| black_box(fast::decompress::<T>(black_box(&stream)).len()))
+        b.iter(|| black_box(Cuszp::new().decompress::<T>(black_box(&stream)).len()))
     });
     group.finish();
 }

@@ -31,39 +31,55 @@
 //! word writes instead of strided byte writes. Decoding runs the same
 //! three transposes backwards (each is an involution).
 //!
+//! ## Entry points
+//!
+//! Four codec functions carry every path; the rest forward to them:
+//!
+//! - [`compress_with`] — owned output, `threads` workers, caller arena
+//!   ([`compress`] is its one-thread, fresh-arena form);
+//! - [`compress_into`] — sequential, into a caller-owned output buffer;
+//! - [`decompress_into_threaded_at`] — full decode, `threads` workers, an
+//!   explicit SIMD tier ([`decompress_into`] is its one-thread,
+//!   default-tier form);
+//! - [`decompress_blocks_into`] — partial decode of a block range.
+//!
+//! Both decoders share one validate-and-Eq-2-offset-scan preamble; only
+//! the full decode additionally demands the payload length match Eq 2
+//! exactly.
+//!
 //! ## The zero-allocation steady state
 //!
 //! Every working buffer the codec needs — the per-block `(F, CmpL)`
 //! table, the Eq-2 prefix-sum workspace, and per-worker residual /
 //! staging buffers — lives in a caller-owned [`Scratch`] arena that is
-//! grown monotonically and reused across calls. The `_into` entry points
-//! ([`compress_into`], [`decompress_into`]) write their results into
-//! caller-owned memory as well, so after the first call with a given
-//! shape (*warm-up*), a single-threaded call performs **zero heap
-//! allocations** — the host analogue of the paper's no-intermediate-
-//! buffer, single-kernel design, and the property the ultra-fast CPU
-//! compressors (SZx) identify as decisive for small payloads. The
-//! `crates/alloc-counter` allocator proves it executable
-//! (`cuszp-core/tests/alloc_count.rs`). Threaded `_into` calls reuse
-//! per-worker arenas but still pay `std::thread` spawn allocations.
+//! grown monotonically and reused across calls. [`compress_into`],
+//! [`decompress_into`] and [`decompress_blocks_into`] write their
+//! results into caller-owned memory as well, so after the first call
+//! with a given shape (*warm-up*), a single-threaded call performs
+//! **zero heap allocations** — the host analogue of the paper's
+//! no-intermediate-buffer, single-kernel design, and the property the
+//! ultra-fast CPU compressors (SZx) identify as decisive for small
+//! payloads. The `crates/alloc-counter` allocator proves it executable
+//! (`cuszp-core/tests/alloc_count.rs`). Threaded calls reuse per-worker
+//! arenas but still pay `std::thread` spawn allocations.
 //!
-//! The `_into` output buffer is reserved **up front from the Eq-2 size
-//! table bound** — `CmpL(max_F(dtype))` per block, the same dtype-bounded
-//! budget the device kernel allocates its payload from — so its capacity
-//! depends only on the call's *shape* (element count, block length,
-//! dtype), never on how well the content compresses: a warm buffer never
-//! reallocates no matter how compressibility varies between calls.
-//! Worker staging instead grows by each tile's exact `CmpL` sum, known
-//! before any byte of the tile is staged, so cold owned-API calls fault
-//! in only the pages they fill.
+//! The [`compress_into`] output buffer is reserved **up front from the
+//! Eq-2 size table bound** — `CmpL(max_F(dtype))` per block, the same
+//! dtype-bounded budget the device kernel allocates its payload from —
+//! so its capacity depends only on the call's *shape* (element count,
+//! block length, dtype), never on how well the content compresses: a
+//! warm buffer never reallocates no matter how compressibility varies
+//! between calls. Worker staging instead grows by each tile's exact
+//! `CmpL` sum, known before any byte of the tile is staged, so cold
+//! owned-API calls fault in only the pages they fill.
 //!
 //! No per-block heap allocation happens in either direction. Because
 //! blocks are independent once the offsets are known — the same argument
-//! the paper's GS step makes for the GPU — both directions have an
-//! opt-in multi-threaded form ([`compress_threaded`] /
-//! [`decompress_threaded`]) whose output is **bit-identical to the
-//! sequential path by construction**: workers own disjoint block ranges
-//! and their staged bytes land at disjoint, precomputed byte ranges.
+//! the paper's GS step makes for the GPU — both [`compress_with`] and
+//! [`decompress_into_threaded_at`] take a worker count whose output is
+//! **bit-identical to the sequential path by construction**: workers own
+//! disjoint block ranges and their staged bytes land at disjoint,
+//! precomputed byte ranges.
 
 use crate::bitshuffle::{byte_transpose8x8, transpose8x8};
 use crate::config::{CuszpConfig, SimdLevel};
@@ -81,6 +97,22 @@ fn resolve_threads(threads: usize) -> usize {
             .unwrap_or(1)
     } else {
         threads
+    }
+}
+
+/// Run one job per worker range: `first` on the calling thread, the
+/// `rest` on scoped threads. A single range never spawns, so the
+/// sequential paths stay free of thread and heap traffic.
+fn run_workers<F: FnOnce() + Send>(ranges: usize, first: F, rest: impl Iterator<Item = F>) {
+    if ranges == 1 {
+        first();
+    } else {
+        std::thread::scope(|s| {
+            for job in rest {
+                s.spawn(job);
+            }
+            first();
+        });
     }
 }
 
@@ -340,98 +372,6 @@ fn plan_and_encode<T: FloatData>(
     }
 }
 
-/// Run both compression phases into `scratch`: fills the `(F, CmpL)`
-/// table and every worker's staging bytes. Returns the total payload
-/// size (the sum of the `CmpL` column).
-fn compress_core<T: FloatData>(
-    data: &[T],
-    eb: f64,
-    cfg: CuszpConfig,
-    threads: usize,
-    scratch: &mut Scratch,
-) -> u64 {
-    cfg.validate();
-    assert!(
-        eb.is_finite() && eb > 0.0,
-        "absolute bound must be positive"
-    );
-    let l = cfg.block_len;
-    let num_blocks = data.len().div_ceil(l);
-    let threads = resolve_threads(threads);
-    let level = simd::resolve_level(cfg.simd);
-    let tile_elems = tune::tile_elems(T::DTYPE, level);
-    grow(&mut scratch.fls, num_blocks);
-    grow(&mut scratch.cmps, num_blocks);
-    scratch.fill_ranges(num_blocks, threads);
-
-    // Per-worker staging grows by each tile's exact `CmpL` sum (known
-    // before any byte of the tile is staged), so a cold buffer faults in
-    // only the pages it actually fills — reserving the Eq-2 worst case
-    // here would make every fresh-`Scratch` owned call map and fault a
-    // dtype-bound-sized region. The zero-allocation arena entry points
-    // make their own worst-case reservation on the *output* buffer,
-    // which is where the no-realloc-at-steady-state guarantee lives.
-    if scratch.ranges.len() <= 1 {
-        if num_blocks > 0 {
-            let ws = &mut scratch.workers[0];
-            ws.staging.clear();
-            plan_and_encode(
-                data,
-                eb,
-                cfg.lorenzo,
-                l,
-                0,
-                &mut scratch.fls[..num_blocks],
-                &mut scratch.cmps[..num_blocks],
-                &mut ws.resid,
-                &mut ws.maxes,
-                &mut ws.staging,
-                level,
-                tile_elems,
-            );
-        }
-    } else {
-        // Phase 1 in parallel: each worker fills its slice of the (F,
-        // CmpL) table and stages its payload fraction in its own arena.
-        let ranges = &scratch.ranges;
-        std::thread::scope(|s| {
-            let mut fl_rest = &mut scratch.fls[..num_blocks];
-            let mut cmp_rest = &mut scratch.cmps[..num_blocks];
-            for (&(b0, b1), ws) in ranges.iter().zip(scratch.workers.iter_mut()) {
-                let (fls, flr) = fl_rest.split_at_mut(b1 - b0);
-                fl_rest = flr;
-                let (cs, cr) = cmp_rest.split_at_mut(b1 - b0);
-                cmp_rest = cr;
-                s.spawn(move || {
-                    ws.staging.clear();
-                    plan_and_encode(
-                        data,
-                        eb,
-                        cfg.lorenzo,
-                        l,
-                        b0,
-                        fls,
-                        cs,
-                        &mut ws.resid,
-                        &mut ws.maxes,
-                        &mut ws.staging,
-                        level,
-                        tile_elems,
-                    )
-                });
-            }
-        });
-    }
-
-    // Global Synchronization, host edition: the sum of the CmpL column is
-    // the payload size; per-block offsets follow by prefix sum wherever a
-    // consumer needs them (decompression rebuilds them from fraction ⓐ).
-    scratch.cmps[..num_blocks]
-        .iter()
-        .map(|&c| c as u64)
-        .sum::<u64>()
-}
-
 /// Upper bound on the serialized stream size ([`compress_into`]'s output)
 /// for an `elems`-element array of `T`: header + one fixed-length byte
 /// per block + the Eq-2 worst-case payload at [`crate::DType::max_fixed_len`].
@@ -448,28 +388,28 @@ pub fn max_stream_bytes<T: FloatData>(elems: usize, cfg: CuszpConfig) -> usize {
 /// Compress `data` under an **absolute** error bound `eb`, sequentially.
 /// Byte-identical to [`crate::host_ref::compress`].
 pub fn compress<T: FloatData>(data: &[T], eb: f64, cfg: CuszpConfig) -> Compressed {
-    compress_threaded(data, eb, cfg, 1)
+    compress_with(&mut Scratch::new(), data, eb, cfg, 1)
 }
 
-/// Compress with `threads` workers (`0` ⇒ [`std::thread::available_parallelism`]).
+/// Panic unless `cfg` and `eb` describe an encodable stream.
+fn check_encode_args(eb: f64, cfg: CuszpConfig) {
+    cfg.validate();
+    assert!(
+        eb.is_finite() && eb > 0.0,
+        "absolute bound must be positive"
+    );
+}
+
+/// Compress into an **owned** [`Compressed`] with `threads` workers
+/// (`0` ⇒ [`std::thread::available_parallelism`]) while reusing a caller
+/// arena for every intermediate buffer — what a long-lived worker (e.g.
+/// a `cuszp-pipeline` stream) runs per chunk: the only allocations left
+/// are the two output `Vec`s the result itself owns, both sized exactly.
 ///
 /// Workers own disjoint block ranges and stage their payload fraction in
 /// block order, and the prefix-sum offsets place each staged range
 /// exactly, so the stream is **bit-identical** to the sequential path for
 /// every thread count.
-pub fn compress_threaded<T: FloatData>(
-    data: &[T],
-    eb: f64,
-    cfg: CuszpConfig,
-    threads: usize,
-) -> Compressed {
-    compress_with(&mut Scratch::new(), data, eb, cfg, threads)
-}
-
-/// Compress into an **owned** [`Compressed`] while reusing a caller
-/// arena for every intermediate buffer — what a long-lived worker (e.g.
-/// a `cuszp-pipeline` stream) runs per chunk: the only allocations left
-/// are the two output `Vec`s the result itself owns, both sized exactly.
 pub fn compress_with<T: FloatData>(
     scratch: &mut Scratch,
     data: &[T],
@@ -477,25 +417,74 @@ pub fn compress_with<T: FloatData>(
     cfg: CuszpConfig,
     threads: usize,
 ) -> Compressed {
-    let total = compress_core(data, eb, cfg, threads, scratch);
-    let num_blocks = data.len().div_ceil(cfg.block_len);
-    // One worker: the staging buffer already *is* the payload, in final
-    // byte order — move it out instead of copying (the arena regrows it
-    // on the next call, which is the one allocation an owned result
-    // needs anyway). Several workers: concatenate the staged fractions.
-    let payload = if scratch.ranges.len() == 1 {
-        std::mem::take(&mut scratch.workers[0].staging)
+    check_encode_args(eb, cfg);
+    let l = cfg.block_len;
+    let num_blocks = data.len().div_ceil(l);
+    let level = simd::resolve_level(cfg.simd);
+    let tile_elems = tune::tile_elems(T::DTYPE, level);
+    grow(&mut scratch.fls, num_blocks);
+    grow(&mut scratch.cmps, num_blocks);
+    scratch.fill_ranges(num_blocks, resolve_threads(threads));
+
+    // Phase 1: each worker fills its slice of the (F, CmpL) table and
+    // stages its payload fraction in its own arena. Staging grows by each
+    // tile's exact `CmpL` sum (known before any byte of the tile is
+    // staged), so a cold buffer faults in only the pages it fills —
+    // reserving the Eq-2 worst case here would make every fresh-`Scratch`
+    // owned call map and fault a dtype-bound-sized region.
+    let ranges = &scratch.ranges;
+    let mut fl_rest = &mut scratch.fls[..num_blocks];
+    let mut cmp_rest = &mut scratch.cmps[..num_blocks];
+    let mut jobs = ranges
+        .iter()
+        .zip(scratch.workers.iter_mut())
+        .map(|(&(b0, b1), ws)| {
+            let (fls, rest) = std::mem::take(&mut fl_rest).split_at_mut(b1 - b0);
+            fl_rest = rest;
+            let (cmps, rest) = std::mem::take(&mut cmp_rest).split_at_mut(b1 - b0);
+            cmp_rest = rest;
+            move || {
+                ws.staging.clear();
+                plan_and_encode(
+                    data,
+                    eb,
+                    cfg.lorenzo,
+                    l,
+                    b0,
+                    fls,
+                    cmps,
+                    &mut ws.resid,
+                    &mut ws.maxes,
+                    &mut ws.staging,
+                    level,
+                    tile_elems,
+                )
+            }
+        });
+    if let Some(first) = jobs.next() {
+        run_workers(ranges.len(), first, jobs);
+    }
+
+    // Global Synchronization, host edition: the sum of the CmpL column is
+    // the payload size. One worker: the staging buffer already *is* the
+    // payload, in final byte order — move it out instead of copying (the
+    // arena regrows it on the next call, which is the one allocation an
+    // owned result needs anyway). Several workers: concatenate.
+    let total: usize = scratch.cmps[..num_blocks].iter().map(|&c| c as usize).sum();
+    let workers = &mut scratch.workers[..scratch.ranges.len()];
+    let payload = if let [only] = workers {
+        std::mem::take(&mut only.staging)
     } else {
-        let mut payload = Vec::with_capacity(total as usize);
-        for ws in &scratch.workers[..scratch.ranges.len()] {
+        let mut payload = Vec::with_capacity(total);
+        for ws in workers.iter() {
             payload.extend_from_slice(&ws.staging);
         }
         payload
     };
-    debug_assert_eq!(payload.len() as u64, total);
+    debug_assert_eq!(payload.len(), total);
     Compressed {
         num_elements: data.len() as u64,
-        block_len: cfg.block_len as u32,
+        block_len: l as u32,
         eb,
         lorenzo: cfg.lorenzo,
         dtype: T::DTYPE,
@@ -507,9 +496,11 @@ pub fn compress_with<T: FloatData>(
 /// Compress into a caller-owned output buffer, sequentially: `out`
 /// receives the full serialized stream (header + fraction ⓐ + payload,
 /// exactly [`Compressed::to_bytes`]' layout) and the returned
-/// [`CompressedRef`] borrows it. With a warm [`Scratch`] and a reused
-/// `out`, the call performs **zero heap allocations** — see the module
-/// docs.
+/// [`CompressedRef`] borrows it. Payload bytes are encoded straight into
+/// `out` — no staging buffer, no placement copy. With a warm [`Scratch`]
+/// and a reused `out`, the call performs **zero heap allocations** — see
+/// the module docs. Byte-identical to [`compress_with`] at every thread
+/// count.
 pub fn compress_into<'a, T: FloatData>(
     scratch: &mut Scratch,
     data: &[T],
@@ -517,91 +508,11 @@ pub fn compress_into<'a, T: FloatData>(
     cfg: CuszpConfig,
     out: &'a mut Vec<u8>,
 ) -> CompressedRef<'a> {
-    compress_into_threaded(scratch, data, eb, cfg, 1, out)
-}
-
-/// [`compress_into`] with `threads` workers (`0` ⇒ host parallelism).
-/// Bit-identical output for every thread count; per-worker arenas are
-/// reused, though thread spawning itself still allocates.
-pub fn compress_into_threaded<'a, T: FloatData>(
-    scratch: &mut Scratch,
-    data: &[T],
-    eb: f64,
-    cfg: CuszpConfig,
-    threads: usize,
-    out: &'a mut Vec<u8>,
-) -> CompressedRef<'a> {
-    cfg.validate();
-    assert!(
-        eb.is_finite() && eb > 0.0,
-        "absolute bound must be positive"
-    );
+    check_encode_args(eb, cfg);
     let l = cfg.block_len;
     let num_blocks = data.len().div_ceil(l);
     let header_bytes = crate::format::HEADER_BYTES;
-
-    // The header depends only on metadata known up front.
-    let header = CompressedRef {
-        num_elements: data.len() as u64,
-        block_len: l as u32,
-        eb,
-        lorenzo: cfg.lorenzo,
-        dtype: T::DTYPE,
-        fixed_lengths: &[],
-        payload: &[],
-    }
-    .header_bytes();
-
-    out.clear();
-    // Reserve from the Eq-2 dtype bound rather than this payload's exact
-    // size: capacity then depends only on the input *shape*, so a reused
-    // `out` never reallocates once warm even when a later payload of the
-    // same shape compresses worse than the warm-up one did.
-    let worst_block = cmp_bytes_for(T::DTYPE.max_fixed_len(), l) as usize;
-    out.reserve(header.len() + num_blocks + num_blocks * worst_block);
-    out.extend_from_slice(&header);
-    out.resize(header.len() + num_blocks, 0); // fraction-ⓐ placeholder
-
-    let resolved = resolve_threads(threads);
-    let level = simd::resolve_level(cfg.simd);
-    let tile_elems = tune::tile_elems(T::DTYPE, level);
-    grow(&mut scratch.fls, num_blocks);
-    grow(&mut scratch.cmps, num_blocks);
-    scratch.fill_ranges(num_blocks, resolved);
-    if scratch.ranges.len() <= 1 {
-        // Sequential fast path: encode payload bytes *directly* into the
-        // serialized stream — no staging buffer, no placement copy.
-        if num_blocks > 0 {
-            let ws = &mut scratch.workers[0];
-            plan_and_encode(
-                data,
-                eb,
-                cfg.lorenzo,
-                l,
-                0,
-                &mut scratch.fls[..num_blocks],
-                &mut scratch.cmps[..num_blocks],
-                &mut ws.resid,
-                &mut ws.maxes,
-                out,
-                level,
-                tile_elems,
-            );
-        }
-        out[header.len()..header.len() + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
-    } else {
-        // Threaded: workers stage privately (they cannot share `out`
-        // before the offsets exist), then placement concatenates.
-        let total = compress_core(data, eb, cfg, threads, scratch);
-        out[header.len()..header.len() + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
-        for ws in &scratch.workers[..scratch.ranges.len()] {
-            out.extend_from_slice(&ws.staging);
-        }
-        debug_assert_eq!(out.len(), header.len() + num_blocks + total as usize);
-    }
-
-    let (fixed_lengths, payload) = out[header_bytes..].split_at(num_blocks);
-    CompressedRef {
+    let meta = |fixed_lengths, payload| CompressedRef {
         num_elements: data.len() as u64,
         block_len: l as u32,
         eb,
@@ -609,7 +520,45 @@ pub fn compress_into_threaded<'a, T: FloatData>(
         dtype: T::DTYPE,
         fixed_lengths,
         payload,
+    };
+
+    out.clear();
+    // Reserve from the Eq-2 dtype bound rather than this payload's exact
+    // size: capacity then depends only on the input *shape*, so a reused
+    // `out` never reallocates once warm even when a later payload of the
+    // same shape compresses worse than the warm-up one did.
+    out.reserve(max_stream_bytes::<T>(data.len(), cfg));
+    // The header depends only on metadata known up front.
+    out.extend_from_slice(&meta(&[], &[]).header_bytes());
+    out.resize(header_bytes + num_blocks, 0); // fraction-ⓐ placeholder
+
+    if num_blocks > 0 {
+        let level = simd::resolve_level(cfg.simd);
+        grow(&mut scratch.fls, num_blocks);
+        grow(&mut scratch.cmps, num_blocks);
+        if scratch.workers.is_empty() {
+            scratch.workers.resize_with(1, Default::default);
+        }
+        let ws = &mut scratch.workers[0];
+        plan_and_encode(
+            data,
+            eb,
+            cfg.lorenzo,
+            l,
+            0,
+            &mut scratch.fls[..num_blocks],
+            &mut scratch.cmps[..num_blocks],
+            &mut ws.resid,
+            &mut ws.maxes,
+            out,
+            level,
+            tune::tile_elems(T::DTYPE, level),
+        );
+        out[header_bytes..header_bytes + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
     }
+
+    let (fixed_lengths, payload) = out[header_bytes..].split_at(num_blocks);
+    meta(fixed_lengths, payload)
 }
 
 /// Decode one block's quantization integers from its payload bytes into
@@ -719,72 +668,75 @@ fn decode_blocks<T: FloatData>(
     }
 }
 
-/// Decompress a stream sequentially. Identical output to
-/// [`crate::host_ref::decompress`].
-///
-/// # Panics
-/// Panics if the stream is structurally invalid or was compressed from a
-/// different element type than `T`.
-pub fn decompress<T: FloatData>(c: &Compressed) -> Vec<T> {
-    decompress_threaded(c, 1)
-}
-
-/// Decompress with `threads` workers (`0` ⇒ host parallelism). Blocks
-/// decode independently at Eq-2 offsets, so the output is identical for
-/// every thread count.
-pub fn decompress_threaded<T: FloatData>(c: &Compressed, threads: usize) -> Vec<T> {
-    decompress_threaded_at(c, threads, None)
-}
-
-/// [`decompress_threaded`] at an explicit dispatch tier (`None` ⇒
-/// `CUSZP_SIMD`, then runtime detection — see [`simd::resolve_level`]).
-/// The tier never changes the output, only which kernels produce it.
-pub fn decompress_threaded_at<T: FloatData>(
-    c: &Compressed,
-    threads: usize,
-    simd_level: Option<SimdLevel>,
-) -> Vec<T> {
+/// The preamble both decoders share: validate `c`'s structure against
+/// `T`, the block range (`None` ⇒ every block) and the output length,
+/// then rebuild the range's payload offsets from fraction ⓐ via Eq 2
+/// (Fig 2's offsets are never stored) into `scratch.offsets`. Offsets
+/// before the range fold into a running sum; only the range's own slots
+/// are written (slots below it are left stale — never read), and slot
+/// `blocks.end` holds the span end. Returns that end offset, which each
+/// caller checks against the payload before decoding: the decoder
+/// slices the payload at these offsets without further bounds checks.
+fn scan_offsets<T: FloatData>(
+    c: &CompressedRef<'_>,
+    blocks: Option<std::ops::Range<usize>>,
+    out_len: usize,
+    scratch: &mut Scratch,
+) -> u64 {
+    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
+    let l = c.block_len as usize;
+    assert!(
+        l > 0 && l.is_multiple_of(8),
+        "invalid stream: bad block length"
+    );
+    assert!(
+        c.eb.is_finite() && c.eb > 0.0,
+        "invalid stream: bad error bound"
+    );
+    let num_blocks = c.num_blocks();
+    assert_eq!(
+        c.fixed_lengths.len(),
+        num_blocks,
+        "invalid stream: fixed-length table size"
+    );
+    let (b0, b1) = blocks.map_or((0, num_blocks), |r| (r.start, r.end));
+    assert!(b0 <= b1 && b1 <= num_blocks, "block range out of bounds");
     let n = c.num_elements as usize;
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    // SAFETY: `T` is sealed to `f32`/`f64` — plain-old-data, no drop, no
-    // invalid bit patterns — and the decoder stores to every element of
-    // the slice (every block exit — fill, fused, or strip — writes its
-    // full element range) before `set_len` makes them observable. Writing
-    // through the raw-parts slice rather than `vec![T::default(); n]`
-    // skips a full-size memset the decoder would immediately overwrite.
-    unsafe {
-        let uninit = std::slice::from_raw_parts_mut(out.as_mut_ptr(), n);
-        decompress_into_threaded_at(c.as_ref(), threads, &mut Scratch::new(), simd_level, uninit);
-        out.set_len(n);
+    assert_eq!(
+        out_len,
+        (b1 * l).min(n).saturating_sub(b0 * l),
+        "output slice length != elements covered by the block range"
+    );
+
+    // Hard cap of the bit-plane layout (64-bit residual magnitudes), NOT
+    // `DType::max_fixed_len()`: extreme f32 amplitude/bound combinations
+    // legitimately push F past 33.
+    let cmp = |f: u8| {
+        assert!(f <= 64, "invalid stream: fixed length exceeds 64");
+        cmp_bytes_for(f, l) as u64
+    };
+    let mut acc: u64 = c.fixed_lengths[..b0].iter().map(|&f| cmp(f)).sum();
+    let offsets = grow(&mut scratch.offsets, b1 + 1);
+    for (dst, &f) in offsets[b0..b1].iter_mut().zip(&c.fixed_lengths[b0..b1]) {
+        *dst = acc;
+        acc += cmp(f);
     }
-    out
+    offsets[b1] = acc;
+    acc
 }
 
 /// Decompress into a caller-owned slice, sequentially, reusing `scratch`
 /// for the offset table and the tile buffer. With a warm arena the call
 /// performs **zero heap allocations**. Accepts the borrowed stream form,
 /// so a stream parsed out of a container ([`CompressedRef::parse`])
-/// decodes without its payload ever being copied.
+/// decodes without its payload ever being copied. Identical to
+/// [`decompress_into_threaded_at`] with one thread at the default tier.
 ///
 /// # Panics
 /// Panics if the stream is structurally invalid, was compressed from a
 /// different element type than `T`, or `out.len() != num_elements`.
 pub fn decompress_into<T: FloatData>(c: CompressedRef<'_>, scratch: &mut Scratch, out: &mut [T]) {
-    decompress_into_threaded(c, 1, scratch, out)
-}
-
-/// [`decompress_into`] at an explicit dispatch tier (`None` ⇒
-/// `CUSZP_SIMD`, then runtime detection). Output bytes are identical at
-/// every tier; this exists so callers that carry a [`CuszpConfig`] (and
-/// the per-tier test and benchmark rows) can pin decompression to the
-/// same tier as compression.
-pub fn decompress_into_at<T: FloatData>(
-    c: CompressedRef<'_>,
-    scratch: &mut Scratch,
-    simd_level: Option<SimdLevel>,
-    out: &mut [T],
-) {
-    decompress_into_threaded_at(c, 1, scratch, simd_level, out)
+    decompress_into_threaded_at(c, 1, scratch, None, out)
 }
 
 /// Decode **only** blocks `[blocks.start, blocks.end)` of a stream into
@@ -816,56 +768,15 @@ pub fn decompress_blocks_into<T: FloatData>(
     scratch: &mut Scratch,
     out: &mut [T],
 ) -> usize {
-    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
-    let l = c.block_len as usize;
-    assert!(
-        l > 0 && l.is_multiple_of(8),
-        "invalid stream: bad block length"
-    );
-    assert!(
-        c.eb.is_finite() && c.eb > 0.0,
-        "invalid stream: bad error bound"
-    );
-    let num_blocks = c.num_blocks();
-    assert_eq!(
-        c.fixed_lengths.len(),
-        num_blocks,
-        "invalid stream: fixed-length table size"
-    );
     let (b0, b1) = (blocks.start, blocks.end);
-    assert!(b0 <= b1 && b1 <= num_blocks, "block range out of bounds");
-    let n = c.num_elements as usize;
-    let covered = (b1 * l).min(n).saturating_sub(b0 * l);
-    assert_eq!(
-        out.len(),
-        covered,
-        "output slice length != elements covered by the block range"
-    );
+    let end = scan_offsets::<T>(&c, Some(blocks), out.len(), scratch);
     if b0 == b1 {
         return 0;
     }
-
-    // Eq-2 prefix scan up to the range end. Offsets before `b0` fold into
-    // a running sum; only the range's own entries are materialized (the
-    // slots below `b0` in the arena are left stale — never read).
-    let offsets = grow(&mut scratch.offsets, b1 + 1);
-    let mut acc = 0u64;
-    for (b, &f) in c.fixed_lengths[..b1].iter().enumerate() {
-        assert!(f <= 64, "invalid stream: fixed length exceeds 64");
-        if b >= b0 {
-            offsets[b] = acc;
-        }
-        acc += cmp_bytes_for(f, l) as u64;
-    }
-    offsets[b1] = acc;
-    let span = (offsets[b1] - offsets[b0]) as usize;
-    // The decoder slices the payload at these offsets without further
-    // bounds checks, so the span end must be in bounds *before* decoding.
     assert!(
-        acc <= c.payload.len() as u64,
+        end <= c.payload.len() as u64,
         "invalid stream: payload shorter than the Eq-2 span of the requested blocks"
     );
-
     if scratch.workers.is_empty() {
         scratch.workers.resize_with(1, Default::default);
     }
@@ -873,32 +784,32 @@ pub fn decompress_blocks_into<T: FloatData>(
         &c.fixed_lengths[b0..b1],
         &scratch.offsets[..b1 + 1],
         c.payload,
-        l,
+        c.block_len as usize,
         b0,
-        n,
+        c.num_elements as usize,
         c.eb,
         c.lorenzo,
         simd::resolve_level(None),
         &mut scratch.workers[0],
         out,
     );
-    span
+    (end - scratch.offsets[b0]) as usize
 }
 
-/// [`decompress_into`] with `threads` workers (`0` ⇒ host parallelism).
-/// Identical output for every thread count.
-pub fn decompress_into_threaded<T: FloatData>(
-    c: CompressedRef<'_>,
-    threads: usize,
-    scratch: &mut Scratch,
-    out: &mut [T],
-) {
-    decompress_into_threaded_at(c, threads, scratch, None, out)
-}
-
-/// [`decompress_into_threaded`] at an explicit dispatch tier (`None` ⇒
-/// `CUSZP_SIMD`, then runtime detection). Identical output for every
-/// thread count *and* every tier.
+/// Decompress a whole stream into a caller-owned slice with `threads`
+/// workers (`0` ⇒ host parallelism) at an explicit dispatch tier (`None`
+/// ⇒ `CUSZP_SIMD`, then runtime detection — see [`simd::resolve_level`]).
+/// Blocks decode independently at Eq-2 offsets, so the output is
+/// identical for every thread count *and* every tier. Every element of
+/// `out` is written and none is read, which is what lets
+/// [`crate::Cuszp::decompress_threaded`] decode into uninitialised
+/// memory.
+///
+/// # Panics
+/// Panics if the stream is structurally invalid (including a payload
+/// whose length disagrees with Eq 2 in either direction), was compressed
+/// from a different element type than `T`, or
+/// `out.len() != num_elements`.
 pub fn decompress_into_threaded_at<T: FloatData>(
     c: CompressedRef<'_>,
     threads: usize,
@@ -906,85 +817,35 @@ pub fn decompress_into_threaded_at<T: FloatData>(
     simd_level: Option<SimdLevel>,
     out: &mut [T],
 ) {
-    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
-    let n = c.num_elements as usize;
-    assert_eq!(out.len(), n, "output slice length != num_elements");
-    let l = c.block_len as usize;
-    assert!(
-        l > 0 && l.is_multiple_of(8),
-        "invalid stream: bad block length"
-    );
-    assert!(
-        c.eb.is_finite() && c.eb > 0.0,
-        "invalid stream: bad error bound"
-    );
-    let num_blocks = c.num_blocks();
+    // The exact-length check matters: the full decode trusts every block
+    // offset for direct payload slicing.
+    let total = scan_offsets::<T>(&c, None, out.len(), scratch);
     assert_eq!(
-        c.fixed_lengths.len(),
-        num_blocks,
-        "invalid stream: fixed-length table size"
-    );
-    let threads = resolve_threads(threads);
-
-    // Rebuild the offset table from fraction ⓐ via Eq 2 (Fig 2's offsets
-    // are never stored), fused with the structural validation: one scan
-    // both checks every `F` and totals the expected payload size. The
-    // exact-length check matters — block offsets are trusted for direct
-    // payload slicing below.
-    let offsets = grow(&mut scratch.offsets, num_blocks + 1);
-    let mut acc = 0u64;
-    for (dst, &f) in offsets.iter_mut().zip(c.fixed_lengths) {
-        // Hard cap of the bit-plane layout (64-bit residual magnitudes),
-        // NOT `DType::max_fixed_len()`: extreme f32 amplitude/bound
-        // combinations legitimately push F past 33.
-        assert!(f <= 64, "invalid stream: fixed length exceeds 64");
-        *dst = acc;
-        acc += cmp_bytes_for(f, l) as u64;
-    }
-    offsets[num_blocks] = acc;
-    assert_eq!(
-        acc,
+        total,
         c.payload.len() as u64,
         "invalid stream: payload length disagrees with Eq-2 accounting"
     );
-
+    let (l, n, num_blocks) = (c.block_len as usize, out.len(), c.num_blocks());
     let level = simd::resolve_level(simd_level);
-    scratch.fill_ranges(num_blocks, threads);
-    if scratch.ranges.len() <= 1 {
-        if num_blocks > 0 {
-            decode_blocks(
-                c.fixed_lengths,
-                &scratch.offsets[..num_blocks + 1],
-                c.payload,
-                l,
-                0,
-                n,
-                c.eb,
-                c.lorenzo,
-                level,
-                &mut scratch.workers[0],
-                out,
-            );
-        }
-    } else {
-        let offsets = &scratch.offsets[..num_blocks + 1];
-        let ranges = &scratch.ranges;
-        std::thread::scope(|s| {
-            let mut out_rest = out;
-            let mut consumed = 0usize;
-            for (&(b0, b1), ws) in ranges.iter().zip(scratch.workers.iter_mut()) {
-                let end = (b1 * l).min(n);
-                let (mine, rest) = out_rest.split_at_mut(end - consumed);
-                out_rest = rest;
-                consumed = end;
-                let fls = &c.fixed_lengths[b0..b1];
-                s.spawn(move || {
-                    decode_blocks(
-                        fls, offsets, c.payload, l, b0, n, c.eb, c.lorenzo, level, ws, mine,
-                    )
-                });
+    scratch.fill_ranges(num_blocks, resolve_threads(threads));
+    let offsets = &scratch.offsets[..num_blocks + 1];
+    let mut out_rest = out;
+    let mut jobs = scratch
+        .ranges
+        .iter()
+        .zip(scratch.workers.iter_mut())
+        .map(|(&(b0, b1), ws)| {
+            let (mine, rest) = std::mem::take(&mut out_rest).split_at_mut((b1 * l).min(n) - b0 * l);
+            out_rest = rest;
+            let fls = &c.fixed_lengths[b0..b1];
+            move || {
+                decode_blocks(
+                    fls, offsets, c.payload, l, b0, n, c.eb, c.lorenzo, level, ws, mine,
+                )
             }
         });
+    if let Some(first) = jobs.next() {
+        run_workers(scratch.ranges.len(), first, jobs);
     }
 }
 
@@ -1044,14 +905,30 @@ mod tests {
             .collect()
     }
 
+    /// Owned full decode at `threads` workers and tier `level`.
+    fn decode<T: FloatData>(c: &Compressed, threads: usize, level: Option<SimdLevel>) -> Vec<T> {
+        let mut out = vec![T::default(); c.num_elements as usize];
+        decompress_into_threaded_at(c.as_ref(), threads, &mut Scratch::new(), level, &mut out);
+        out
+    }
+
+    fn compress_owned<T: FloatData>(
+        data: &[T],
+        eb: f64,
+        cfg: CuszpConfig,
+        threads: usize,
+    ) -> Compressed {
+        compress_with(&mut Scratch::new(), data, eb, cfg, threads)
+    }
+
     fn assert_identical(data: &[f32], eb: f64, cfg: CuszpConfig) {
         let reference = host_ref::compress(data, eb, cfg);
         let mut scratch = Scratch::new();
         let mut out = Vec::new();
         for threads in [1usize, 2, 5] {
-            let fast = compress_threaded(data, eb, cfg, threads);
+            let fast = compress_owned(data, eb, cfg, threads);
             assert_eq!(fast, reference, "compress threads={threads}");
-            let back: Vec<f32> = decompress_threaded(&fast, threads);
+            let back: Vec<f32> = decode(&fast, threads, None);
             assert_eq!(
                 back,
                 host_ref::decompress::<f32>(&reference),
@@ -1059,11 +936,17 @@ mod tests {
             );
             // The arena entry points, with a deliberately dirty scratch
             // and reused output, must serialize and decode identically.
-            let r = compress_into_threaded(&mut scratch, data, eb, cfg, threads, &mut out);
+            let r = compress_into(&mut scratch, data, eb, cfg, &mut out);
             assert_eq!(r.to_owned(), reference, "compress_into threads={threads}");
             assert_eq!(out, reference.to_bytes(), "serialized threads={threads}");
             let mut into_back = vec![0f32; data.len()];
-            decompress_into_threaded(reference.as_ref(), threads, &mut scratch, &mut into_back);
+            decompress_into_threaded_at(
+                reference.as_ref(),
+                threads,
+                &mut scratch,
+                None,
+                &mut into_back,
+            );
             assert_eq!(into_back, back, "decompress_into threads={threads}");
         }
     }
@@ -1162,7 +1045,7 @@ mod tests {
             };
             let c = compress(&data, 0.01, cfg);
             assert_eq!(c, reference, "compress at {level}");
-            let back = decompress_threaded_at::<f32>(&c, 1, Some(level));
+            let back = decode::<f32>(&c, 1, Some(level));
             assert_eq!(back, full, "decompress at {level}");
         }
     }
@@ -1178,7 +1061,7 @@ mod tests {
     fn empty_input() {
         let c = compress::<f32>(&[], 0.1, CuszpConfig::default());
         assert_eq!(c.num_blocks(), 0);
-        assert!(decompress::<f32>(&c).is_empty());
+        assert!(decode::<f32>(&c, 1, None).is_empty());
         let mut scratch = Scratch::new();
         let mut out = Vec::new();
         let r = compress_into::<f32>(&mut scratch, &[], 0.1, CuszpConfig::default(), &mut out);
@@ -1191,25 +1074,25 @@ mod tests {
         let data = vec![0.0f32; 256];
         let c = compress(&data, 0.001, CuszpConfig::default());
         assert!(c.payload.is_empty());
-        assert_eq!(decompress::<f32>(&c), data);
+        assert_eq!(decode::<f32>(&c, 1, None), data);
     }
 
     #[test]
     fn f64_identical() {
         let data: Vec<f64> = (0..900).map(|i| (i as f64 * 0.013).sin() * 1e5).collect();
         let reference = host_ref::compress(&data, 0.5, CuszpConfig::default());
-        let fast = compress_threaded(&data, 0.5, CuszpConfig::default(), 3);
+        let fast = compress_owned(&data, 0.5, CuszpConfig::default(), 3);
         assert_eq!(fast, reference);
-        let back: Vec<f64> = decompress_threaded(&fast, 3);
+        let back: Vec<f64> = decode(&fast, 3, None);
         assert_eq!(back, host_ref::decompress::<f64>(&reference));
     }
 
     #[test]
     fn auto_thread_count_works() {
         let data = wave(2048);
-        let c = compress_threaded(&data, 0.01, CuszpConfig::default(), 0);
+        let c = compress_owned(&data, 0.01, CuszpConfig::default(), 0);
         assert_eq!(c, host_ref::compress(&data, 0.01, CuszpConfig::default()));
-        let back: Vec<f32> = decompress_threaded(&c, 0);
+        let back: Vec<f32> = decode(&c, 0, None);
         assert_eq!(back, host_ref::decompress::<f32>(&c));
     }
 
@@ -1226,7 +1109,7 @@ mod tests {
             assert_eq!(r.to_owned(), reference, "n={n}");
             let mut back = vec![0f32; n];
             decompress_into(reference.as_ref(), &mut scratch, &mut back);
-            assert_eq!(back, decompress::<f32>(&reference), "n={n}");
+            assert_eq!(back, decode::<f32>(&reference, 1, None), "n={n}");
         }
         let doubles: Vec<f64> = (0..999).map(|i| (i as f64 * 0.4).cos() * 77.0).collect();
         let reference = compress(&doubles, 0.05, CuszpConfig::default());
@@ -1261,7 +1144,7 @@ mod tests {
         let parsed = CompressedRef::parse(&out).expect("well-formed stream");
         let mut back = vec![0f32; data.len()];
         decompress_into(parsed, &mut scratch, &mut back);
-        assert_eq!(back, decompress::<f32>(&parsed.to_owned()));
+        assert_eq!(back, decode::<f32>(&parsed.to_owned(), 1, None));
     }
 
     #[test]
@@ -1342,7 +1225,7 @@ mod tests {
         let data = wave(3 * 32 * 41 + 19); // ragged final block
         let cfg = CuszpConfig::default();
         let c = compress(&data, 0.01, cfg);
-        let full: Vec<f32> = decompress(&c);
+        let full: Vec<f32> = decode(&c, 1, None);
         let n = data.len();
         let l = cfg.block_len;
         let num_blocks = c.num_blocks();
@@ -1373,7 +1256,7 @@ mod tests {
             *v = (i as f32 * 0.37).sin() * 3.0e7;
         }
         let c = compress(&data, 1e-4, CuszpConfig::default());
-        let full: Vec<f32> = decompress(&c);
+        let full: Vec<f32> = decode(&c, 1, None);
         let mut scratch = Scratch::new();
         for b in 0..8 {
             let mut out = vec![0f32; 32];
@@ -1409,7 +1292,7 @@ mod tests {
     fn more_threads_than_blocks() {
         let data = wave(40); // 2 blocks
         assert_identical(&data, 0.01, CuszpConfig::default());
-        let c = compress_threaded(&data, 0.01, CuszpConfig::default(), 16);
+        let c = compress_owned(&data, 0.01, CuszpConfig::default(), 16);
         assert_eq!(c, host_ref::compress(&data, 0.01, CuszpConfig::default()));
     }
 }

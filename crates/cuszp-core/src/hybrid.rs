@@ -48,7 +48,6 @@ use crate::dtype::{DType, FloatData};
 use crate::encode::cmp_bytes_for;
 use crate::fast::{self, Scratch};
 use crate::format::{CompressedRef, FormatError, HEADER_BYTES};
-use crate::simd::resolve_level;
 pub use cuszp_entropy::Mode;
 use cuszp_entropy::{
     decode_chunk, encode_chunk_at, select_mode_at, Tier, HUFFMAN4_HEADER_BYTES, HUFFMAN_TABLE_BYTES,
@@ -165,19 +164,9 @@ pub fn max_frame_bytes<T: FloatData>(elems: usize, cfg: CuszpConfig, chunk_block
 }
 
 /// Encode `r` as a `CUSZPHY1` frame into `out` (cleared first), letting
-/// the sampled estimator pick each chunk's mode, at the default-resolved
-/// SIMD tier. See [`encode_with_at`].
-pub fn encode(
-    r: &CompressedRef<'_>,
-    chunk_blocks: usize,
-    hs: &mut HybridScratch,
-    out: &mut Vec<u8>,
-) {
-    encode_with(r, chunk_blocks, None, hs, out)
-}
-
-/// [`encode`] at an explicit SIMD dispatch level (frames are
-/// byte-identical at every level; the level only selects kernels).
+/// the sampled estimator pick each chunk's mode, at SIMD dispatch level
+/// `level` (frames are byte-identical at every level; the level only
+/// selects kernels). See [`encode_with_at`].
 pub fn encode_at(
     r: &CompressedRef<'_>,
     chunk_blocks: usize,
@@ -186,18 +175,6 @@ pub fn encode_at(
     out: &mut Vec<u8>,
 ) {
     encode_with_at(r, chunk_blocks, None, level, hs, out)
-}
-
-/// [`encode_with`] at the default-resolved SIMD tier
-/// (`resolve_level(None)`: `CUSZP_SIMD`, then runtime detection).
-pub fn encode_with(
-    r: &CompressedRef<'_>,
-    chunk_blocks: usize,
-    force: Option<Mode>,
-    hs: &mut HybridScratch,
-    out: &mut Vec<u8>,
-) {
-    encode_with_at(r, chunk_blocks, force, resolve_level(None), hs, out)
 }
 
 /// Encode `r` as a `CUSZPHY1` frame into `out` (cleared first).
@@ -627,6 +604,7 @@ pub fn decode_stream_bytes(
 mod tests {
     use super::*;
     use crate::config::ErrorBound;
+    use crate::simd::resolve_level;
     use crate::Cuszp;
 
     fn wave(n: usize) -> Vec<f32> {
@@ -637,7 +615,14 @@ mod tests {
         let c = fast::compress(data, eb, CuszpConfig::default());
         let mut hs = HybridScratch::new();
         let mut out = Vec::new();
-        encode_with(&c.as_ref(), chunk_blocks, force, &mut hs, &mut out);
+        encode_with_at(
+            &c.as_ref(),
+            chunk_blocks,
+            force,
+            resolve_level(None),
+            &mut hs,
+            &mut out,
+        );
         out
     }
 
@@ -646,7 +631,7 @@ mod tests {
         for n in [0usize, 1, 31, 32, 8192, 100_000] {
             let data = wave(n);
             let c = fast::compress(&data, 1e-3, CuszpConfig::default());
-            let plain: Vec<f32> = fast::decompress(&c);
+            let plain: Vec<f32> = Cuszp::new().decompress(&c);
             let bytes = frame(&data, 1e-3, DEFAULT_CHUNK_BLOCKS, None);
             let r = HybridRef::parse(&bytes).unwrap();
             let mut out = vec![0f32; n];
@@ -659,7 +644,7 @@ mod tests {
     fn every_forced_mode_roundtrips() {
         let data = wave(50_000);
         let c = fast::compress(&data, 1e-3, CuszpConfig::default());
-        let plain: Vec<f32> = fast::decompress(&c);
+        let plain: Vec<f32> = Cuszp::new().decompress(&c);
         for mode in Mode::ALL {
             let bytes = frame(&data, 1e-3, DEFAULT_CHUNK_BLOCKS, Some(mode));
             let r = HybridRef::parse(&bytes).unwrap();

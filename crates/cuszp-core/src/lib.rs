@@ -38,13 +38,34 @@
 //! assert!(compressed.stream_bytes() < 10_000 * 4 / 3); // ~3.5x on this signal
 //! ```
 //!
+//! ## Entry points
+//!
+//! The host codec has one encode body, one full decode and one partial
+//! decode; everything else is a thin wrapper over them:
+//!
+//! - **Encode** — [`fast::compress_with`] (owned, `threads` workers) and
+//!   [`fast::compress_into`] (sequential, caller-owned output, zero heap
+//!   operations once warm); [`fast::compress`] is the one-thread owned
+//!   form.
+//! - **Full decode** — [`fast::decompress_into_threaded_at`];
+//!   [`fast::decompress_into`] is its one-thread, default-tier form, and
+//!   [`Cuszp::decompress_threaded`] the owned one.
+//! - **Partial decode** — [`fast::decompress_blocks_into`], the
+//!   block-range read behind the shard store.
+//! - **Hybrid stage** — [`hybrid::encode_at`] / [`hybrid::encode_with_at`]
+//!   and [`hybrid::decode_into`] / [`hybrid::decode_blocks_into`] over
+//!   the same primitives.
+//!
+//! [`Cuszp`] resolves [`ErrorBound`]s ([`value_range`] is the REL
+//! denominator) and adds the serialized and chunked forms. Multi-field
+//! datasets are stored as `cuszp-store` shards, one per field.
+//!
 //! The serialized forms of both the single-shot stream and the
 //! `CUSZPCH1` chunked container are specified byte-for-byte in
 //! `docs/FORMAT.md` at the repository root.
 
 #![deny(missing_docs)]
 
-pub mod archive;
 pub mod bitshuffle;
 pub mod chunked;
 pub mod config;
@@ -60,7 +81,6 @@ pub mod simd;
 pub mod tune;
 pub mod verify;
 
-pub use archive::{Archive, Entry};
 pub use chunked::{chunk_ref_iter, chunk_refs, ChunkRefIter, ChunkedCompressed, ChunkedReader};
 pub use config::{CuszpConfig, ErrorBound, SimdLevel, DEFAULT_BLOCK_LEN};
 pub use dtype::{DType, FloatData};
@@ -113,24 +133,6 @@ impl Cuszp {
         bound.absolute(value_range(data))
     }
 
-    /// Resolve an [`ErrorBound`] against device-resident data with a
-    /// single reduction kernel (what the reference `compx` CLI does before
-    /// launching compression, so REL mode never round-trips the data).
-    pub fn resolve_bound_device(
-        &self,
-        gpu: &mut Gpu,
-        input: &DeviceBuffer<f32>,
-        bound: ErrorBound,
-    ) -> f64 {
-        match bound {
-            ErrorBound::Abs(d) => bound.absolute(d), // validates positivity
-            ErrorBound::Rel(_) => {
-                let (lo, hi) = gpu_sim::reduce::min_max_f32(gpu, input, "range");
-                bound.absolute((hi - lo) as f64)
-            }
-        }
-    }
-
     /// Compress on the host via the optimized word-parallel codec
     /// ([`fast`]), byte-identical to the sequential reference
     /// ([`host_ref`]). Accepts `f32` or `f64` data; the stream records
@@ -138,20 +140,6 @@ impl Cuszp {
     pub fn compress<T: FloatData>(&self, data: &[T], bound: ErrorBound) -> Compressed {
         let eb = self.resolve_bound(data, bound);
         fast::compress(data, eb, self.config)
-    }
-
-    /// Compress on the host with `threads` workers (`0` ⇒ host
-    /// parallelism). Bit-identical to [`Cuszp::compress`] by
-    /// construction — workers write disjoint ranges at offsets fixed by
-    /// the size prefix sum.
-    pub fn compress_threaded<T: FloatData>(
-        &self,
-        data: &[T],
-        bound: ErrorBound,
-        threads: usize,
-    ) -> Compressed {
-        let eb = self.resolve_bound(data, bound);
-        fast::compress_threaded(data, eb, self.config, threads)
     }
 
     /// Compress into a caller-owned output buffer with a caller-owned
@@ -173,20 +161,6 @@ impl Cuszp {
         fast::compress_into(scratch, data, eb, self.config, out)
     }
 
-    /// Decompress into a caller-owned slice with a caller-owned
-    /// [`Scratch`] arena: zero heap allocations once the arena is warm.
-    /// `out.len()` must equal the stream's element count. Honors this
-    /// codec's [`CuszpConfig::simd`] tier override, like every `Cuszp`
-    /// method.
-    pub fn decompress_into<T: FloatData>(
-        &self,
-        c: &Compressed,
-        scratch: &mut Scratch,
-        out: &mut [T],
-    ) {
-        fast::decompress_into_at(c.as_ref(), scratch, self.config.simd, out)
-    }
-
     /// Decompress on the host to the stream's element type.
     pub fn decompress<T: FloatData>(&self, c: &Compressed) -> Vec<T> {
         self.decompress_threaded(c, 1)
@@ -195,7 +169,27 @@ impl Cuszp {
     /// Decompress on the host with `threads` workers (`0` ⇒ host
     /// parallelism). Identical output for every thread count.
     pub fn decompress_threaded<T: FloatData>(&self, c: &Compressed, threads: usize) -> Vec<T> {
-        fast::decompress_threaded_at(c, threads, self.config.simd)
+        let n = c.num_elements as usize;
+        let mut out: Vec<T> = Vec::with_capacity(n);
+        // SAFETY: `T` is sealed to `f32`/`f64` — plain-old-data, no drop,
+        // no invalid bit patterns — and the decoder stores to every element
+        // of the slice (every block exit — fill, fused, or strip — writes
+        // its full element range) before `set_len` makes them observable.
+        // Writing through the raw-parts slice rather than
+        // `vec![T::default(); n]` skips a full-size memset the decoder
+        // would immediately overwrite.
+        unsafe {
+            let uninit = std::slice::from_raw_parts_mut(out.as_mut_ptr(), n);
+            fast::decompress_into_threaded_at(
+                c.as_ref(),
+                threads,
+                &mut Scratch::new(),
+                self.config.simd,
+                uninit,
+            );
+            out.set_len(n);
+        }
+        out
     }
 
     /// Compress straight to serialized bytes, honoring
@@ -286,7 +280,7 @@ impl Cuszp {
                 });
             }
             let mut out = vec![T::default(); r.num_elements as usize];
-            fast::decompress_into_at(r, &mut scratch, self.config.simd, &mut out);
+            fast::decompress_into_threaded_at(r, 1, &mut scratch, self.config.simd, &mut out);
             Ok(out)
         }
     }

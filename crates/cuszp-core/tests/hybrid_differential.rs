@@ -10,7 +10,7 @@
 //! still-valid frame), never a panic.
 
 use cuszp_core::hybrid::{self, HybridRef, HybridScratch, Mode};
-use cuszp_core::{fast, CuszpConfig};
+use cuszp_core::{fast, simd, CuszpConfig};
 use proptest::prelude::*;
 
 fn data_strategy() -> impl Strategy<Value = Vec<f32>> {
@@ -52,7 +52,8 @@ fn encode_pair(
     let r = fast::compress_into(&mut scratch, data, eb, cfg, &mut plain);
     let mut hs = HybridScratch::new();
     let mut frame = Vec::new();
-    hybrid::encode_with(&r, chunk_blocks, force, &mut hs, &mut frame);
+    let level = simd::resolve_level(None);
+    hybrid::encode_with_at(&r, chunk_blocks, force, level, &mut hs, &mut frame);
     (plain, frame)
 }
 

@@ -1,18 +1,40 @@
-//! Differential suite for the arena entry points: `compress_into` /
-//! `decompress_into` must be **byte-identical** to the owned
-//! `compress` / `decompress` API across element types, awkward tail
-//! lengths, thread counts, and — the part unique to this suite — *dirty*
-//! arenas and output buffers reused across wildly different calls.
+//! Differential suite for the arena entry points: `compress_into` must
+//! be **byte-identical** to `compress_with` at every thread count, and
+//! the full decoder (`decompress_into_threaded_at`, at every thread count
+//! and every runnable tier) must reproduce the partial decoder
+//! (`decompress_blocks_into`) run over every block — across element
+//! types, awkward tail lengths and, the part unique to this suite,
+//! *dirty* arenas and output buffers reused across wildly different
+//! calls.
 
-use cuszp_core::{fast, CompressedRef, CuszpConfig, FloatData, Scratch};
+use cuszp_core::{fast, simd, CompressedRef, Cuszp, CuszpConfig, FloatData, Scratch, SimdLevel};
 use proptest::prelude::*;
 
 /// Sequential, threaded few/many, auto-detected.
 const THREADS: [usize; 4] = [1, 2, 5, 0];
 
+/// The tiers this host can actually run (forcing above the detected
+/// tier clamps down, which would silently test the same kernels twice).
+fn tiers() -> impl Iterator<Item = Option<SimdLevel>> {
+    std::iter::once(None).chain(
+        SimdLevel::ALL
+            .into_iter()
+            .filter(|&l| l <= simd::detect_level())
+            .map(Some),
+    )
+}
+
+/// Decode every block of `c` through the partial decoder.
+fn decode_all_blocks<T: FloatData>(c: CompressedRef<'_>, scratch: &mut Scratch) -> Vec<T> {
+    let mut out = vec![T::default(); c.num_elements as usize];
+    let read = fast::decompress_blocks_into(c, 0..c.num_blocks(), scratch, &mut out);
+    assert_eq!(read, c.payload.len(), "a full-range read spans the payload");
+    out
+}
+
 /// One arena + one output buffer per differential check, deliberately
-/// carried across every thread count so each iteration sees the previous
-/// one's leftovers.
+/// carried across every thread count and tier so each iteration sees the
+/// previous one's leftovers.
 fn assert_into_matches_owned<T: FloatData>(
     data: &[T],
     eb: f64,
@@ -20,14 +42,24 @@ fn assert_into_matches_owned<T: FloatData>(
 ) -> Result<(), TestCaseError> {
     let owned = fast::compress(data, eb, cfg);
     let owned_bytes = owned.to_bytes();
-    let owned_back: Vec<T> = fast::decompress(&owned);
-
     let mut scratch = Scratch::new();
+    let blocks_back: Vec<T> = decode_all_blocks(owned.as_ref(), &mut scratch);
+    let owned_back: Vec<T> = Cuszp::with_config(cfg).decompress(&owned);
+    prop_assert_eq!(&owned_back, &blocks_back, "owned decode differs");
+
     let mut stream = Vec::new();
     let mut restored = vec![T::default(); data.len()];
     for threads in THREADS {
-        let r = fast::compress_into_threaded(&mut scratch, data, eb, cfg, threads, &mut stream)
-            .to_owned();
+        // compress_with (arena-backed owned output) at `threads` workers
+        // serializes to exactly the sequential compress_into stream.
+        let with = fast::compress_with(&mut scratch, data, eb, cfg, threads);
+        let r = fast::compress_into(&mut scratch, data, eb, cfg, &mut stream).to_owned();
+        prop_assert_eq!(
+            &stream,
+            &with.to_bytes(),
+            "compress_into differs from compress_with (threads={})",
+            threads
+        );
         prop_assert_eq!(
             &stream,
             &owned_bytes,
@@ -36,23 +68,25 @@ fn assert_into_matches_owned<T: FloatData>(
         );
         prop_assert_eq!(&r, &owned, "parsed view differs (threads={})", threads);
 
-        // Decode from the ref we just produced (borrowing `stream`) and
-        // from the owned struct: both must reproduce the owned output.
-        fast::decompress_into_threaded(
-            CompressedRef::parse(&stream).expect("own output parses"),
-            threads,
-            &mut scratch,
-            &mut restored,
-        );
-        prop_assert_eq!(
-            &restored,
-            &owned_back,
-            "reconstruction differs (threads={})",
-            threads
-        );
-        // compress_with (arena-backed owned output) closes the square.
-        let with = fast::compress_with(&mut scratch, data, eb, cfg, threads);
-        prop_assert_eq!(&with, &owned, "compress_with differs (threads={})", threads);
+        // Decode from the ref we just produced (borrowing `stream`) at
+        // every tier: each must reproduce the all-blocks partial decode.
+        for level in tiers() {
+            restored.fill(T::from_f64(f64::NAN));
+            fast::decompress_into_threaded_at(
+                CompressedRef::parse(&stream).expect("own output parses"),
+                threads,
+                &mut scratch,
+                level,
+                &mut restored,
+            );
+            prop_assert_eq!(
+                &restored,
+                &blocks_back,
+                "reconstruction differs (threads={}, tier={:?})",
+                threads,
+                level
+            );
+        }
     }
     Ok(())
 }
@@ -129,7 +163,7 @@ proptest! {
                 prop_assert_eq!(&stream, &owned.to_bytes(), "f32 call {} differs", i);
                 let mut back = vec![0f32; len];
                 fast::decompress_into(owned.as_ref(), &mut scratch, &mut back);
-                prop_assert_eq!(back, fast::decompress::<f32>(&owned), "f32 decode {} differs", i);
+                prop_assert_eq!(back, decode_all_blocks::<f32>(owned.as_ref(), &mut Scratch::new()), "f32 decode {} differs", i);
             } else {
                 let data: Vec<f64> = (0..len)
                     .map(|_| ((next() % 999_999) as f64 - 500_000.0) * 2.3e-3)
@@ -139,7 +173,67 @@ proptest! {
                 prop_assert_eq!(&stream, &owned.to_bytes(), "f64 call {} differs", i);
                 let mut back = vec![0f64; len];
                 fast::decompress_into(owned.as_ref(), &mut scratch, &mut back);
-                prop_assert_eq!(back, fast::decompress::<f64>(&owned), "f64 decode {} differs", i);
+                prop_assert_eq!(back, decode_all_blocks::<f64>(owned.as_ref(), &mut Scratch::new()), "f64 decode {} differs", i);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn dirty_arena_alternates_partial_and_full_decodes(
+        lens in proptest::collection::vec(awkward_len(), 2..5),
+        cuts in proptest::collection::vec((any::<u16>(), any::<u16>()), 4..10),
+        seed in any::<u64>(),
+        eb in 1e-4f64..0.5,
+    ) {
+        // Both decoders share one offset scan over one arena: a partial
+        // decode leaves the slots below its range stale, and a full
+        // decode leaves a whole table behind. Alternate the two over
+        // streams of different shapes through ONE arena; every result
+        // must match the matching slice of a fresh-arena full decode.
+        let mut s = seed | 1;
+        let streams: Vec<_> = lens
+            .iter()
+            .map(|&len| {
+                let data: Vec<f32> = (0..len)
+                    .map(|_| {
+                        s ^= s << 13; s ^= s >> 7; s ^= s << 17;
+                        ((s % 40_000) as f32 - 20_000.0) * 0.07
+                    })
+                    .collect();
+                let c = fast::compress(&data, eb, CuszpConfig::default());
+                let mut full = vec![0f32; len];
+                fast::decompress_into(c.as_ref(), &mut Scratch::new(), &mut full);
+                (c, full)
+            })
+            .collect();
+        let mut scratch = Scratch::new();
+        let mut out = Vec::new();
+        for (i, &(x, y)) in cuts.iter().enumerate() {
+            let (c, full) = &streams[i % streams.len()];
+            let r = c.as_ref();
+            let (l, n, nb) = (c.block_len as usize, full.len(), c.num_blocks());
+            if i % 2 == 0 {
+                let (b0, b1) = {
+                    let (a, b) = (x as usize % (nb + 1), y as usize % (nb + 1));
+                    (a.min(b), a.max(b))
+                };
+                let lo = (b0 * l).min(n);
+                let hi = (b1 * l).min(n);
+                out.clear();
+                out.resize(hi - lo, f32::NAN);
+                let read = fast::decompress_blocks_into(r, b0..b1, &mut scratch, &mut out);
+                prop_assert_eq!(&out[..], &full[lo..hi], "partial {}..{} (call {})", b0, b1, i);
+                prop_assert_eq!(read, r.payload_span(b0..b1).unwrap().len());
+            } else {
+                out.clear();
+                out.resize(n, f32::NAN);
+                let threads = THREADS[(x as usize) % THREADS.len()];
+                fast::decompress_into_threaded_at(r, threads, &mut scratch, None, &mut out);
+                prop_assert_eq!(&out, full, "full decode (call {}, threads={})", i, threads);
             }
         }
     }

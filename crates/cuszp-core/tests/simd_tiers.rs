@@ -8,7 +8,7 @@
 //! exercised in one process regardless of `CUSZP_SIMD` (the env override
 //! itself is covered by the forced-tier CI jobs).
 
-use cuszp_core::{fast, host_ref, simd, CuszpConfig, FloatData, Scratch, SimdLevel};
+use cuszp_core::{fast, host_ref, simd, Cuszp, CuszpConfig, FloatData, Scratch, SimdLevel};
 use proptest::prelude::*;
 
 /// The tiers this host can actually run (forcing above the detected
@@ -37,12 +37,12 @@ fn assert_tiers_match_ref<T: FloatData + Default + Copy>(
         };
         let c = fast::compress(data, eb, cfg);
         prop_assert_eq!(&c, &reference, "compress differs at {}", level);
-        let back = fast::decompress_threaded_at::<T>(&c, 1, Some(level));
+        let back: Vec<T> = Cuszp::with_config(cfg).decompress(&c);
         prop_assert_eq!(&back, &ref_back, "decompress differs at {}", level);
         // The arena path too, with the one scratch shared across tiers
         // (a dirty arena must never leak one tier's state into another).
         let mut into_back = vec![T::default(); data.len()];
-        fast::decompress_into_at(c.as_ref(), &mut scratch, Some(level), &mut into_back);
+        fast::decompress_into_threaded_at(c.as_ref(), 1, &mut scratch, Some(level), &mut into_back);
         prop_assert_eq!(
             &into_back,
             &ref_back,

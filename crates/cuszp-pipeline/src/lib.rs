@@ -45,7 +45,7 @@ pub mod pool;
 pub mod stats;
 
 pub use pool::{JobSource, Submitter, WorkerPool};
-pub use stats::{BatchStats, LatencyHistogram, ServiceMetrics, StreamStats};
+pub use stats::{BatchStats, StreamStats};
 
 /// Pipeline shape: worker count, queue bound, chunking, codec.
 #[derive(Debug, Clone)]

@@ -59,15 +59,17 @@
 #![deny(missing_docs)]
 
 pub mod client;
+pub mod metrics;
 pub mod protocol;
 
 pub use client::{Client, ServiceError};
+pub use metrics::{LatencyHistogram, ServiceMetrics, LATENCY_BUCKETS};
 pub use protocol::Tenant;
 
 use cuszp_core::fast;
 use cuszp_core::hybrid::{self, HybridScratch, DEFAULT_CHUNK_BLOCKS, HYBRID_MAGIC};
 use cuszp_core::{chunk_ref_iter, CuszpConfig, DType, ErrorBound, FloatData, Scratch};
-use cuszp_pipeline::{ServiceMetrics, Submitter, WorkerPool};
+use cuszp_pipeline::{Submitter, WorkerPool};
 use protocol::*;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

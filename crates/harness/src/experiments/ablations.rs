@@ -15,6 +15,7 @@
 use super::Ctx;
 use crate::measure::measure_pipeline;
 use crate::report::{f2, Report};
+use crate::resolve_bound;
 use baselines::common::CuszpAdapter;
 use baselines::cusz::huffman;
 use cuszp_core::{CuszpConfig, ErrorBound};
@@ -40,7 +41,7 @@ pub fn run(ctx: &Ctx) {
     let mut report = Report::new("ablations", "cuSZp design-choice ablations", &ctx.out_dir);
     let spec = DeviceSpec::a100();
     let field = hurricane::field("U", &ctx.scale.shape(DatasetId::Hurricane));
-    let eb = ErrorBound::Rel(1e-3).absolute(field.value_range() as f64);
+    let eb = resolve_bound(&field, ErrorBound::Rel(1e-3));
     let mut out = Vec::new();
 
     // 1. Block length sweep.
@@ -72,7 +73,7 @@ pub fn run(ctx: &Ctx) {
             nyx::field("temperature", &ctx.scale.shape(DatasetId::Nyx)),
         ),
     ] {
-        let eb = ErrorBound::Rel(1e-3).absolute(f.value_range() as f64);
+        let eb = resolve_bound(&f, ErrorBound::Rel(1e-3));
         for lorenzo in [true, false] {
             let comp = CuszpAdapter::with_config(CuszpConfig {
                 block_len: 32,

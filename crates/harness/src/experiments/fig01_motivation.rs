@@ -10,6 +10,7 @@
 use super::Ctx;
 use crate::measure::measure_pipeline;
 use crate::report::Report;
+use crate::resolve_bound;
 use baselines::common::CuszpAdapter;
 use baselines::CuszxLike;
 use cuszp_core::ErrorBound;
@@ -48,9 +49,9 @@ pub fn run(ctx: &Ctx) {
     write_ppm(&ctx.out_dir.join("fig01_original.ppm"), h, w, &plane).expect("write ppm");
     let base_stripe = stripe_score(h, w, &plane, 64);
 
-    let eb1 = ErrorBound::Rel(2e-2).absolute(field.value_range() as f64);
+    let eb1 = resolve_bound(&field, ErrorBound::Rel(2e-2));
     let m1 = measure_pipeline(&spec, &CuszpAdapter::new(), &field, eb1);
-    let eb2 = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+    let eb2 = resolve_bound(&field, ErrorBound::Rel(1e-2));
     let m2 = measure_pipeline(&spec, &CuszxLike::new(), &field, eb2);
 
     let mut rows = Vec::new();

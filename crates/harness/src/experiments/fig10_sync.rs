@@ -10,6 +10,7 @@
 
 use super::Ctx;
 use crate::report::{f2, Report};
+use crate::resolve_bound;
 use baselines::common::CuszpAdapter;
 use baselines::Compressor;
 use cuszp_core::ErrorBound;
@@ -49,7 +50,7 @@ pub fn run(ctx: &Ctx) {
     for (name, paper) in PAPER {
         let id = DatasetId::parse(name).expect("known dataset");
         let field = generate_subset(id, ctx.scale, 1).remove(0);
-        let eb = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+        let eb = resolve_bound(&field, ErrorBound::Rel(1e-2));
 
         // GS share inside the fused kernel.
         let mut gpu = Gpu::new(spec.clone());

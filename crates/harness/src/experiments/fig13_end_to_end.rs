@@ -10,6 +10,7 @@
 use super::Ctx;
 use crate::measure::measure_pipeline;
 use crate::report::{f2, Report};
+use crate::resolve_bound;
 use crate::{all_compressors, CUZFP_RATES};
 use baselines::CuzfpLike;
 use cuszp_core::ErrorBound;
@@ -49,7 +50,7 @@ pub fn measure(ctx: &Ctx, kernel_only: bool) -> Vec<Cell> {
             if comp.is_error_bounded() {
                 for bound in ErrorBound::paper_rel_set() {
                     for field in &fields {
-                        let eb = bound.absolute(field.value_range() as f64);
+                        let eb = resolve_bound(field, bound);
                         let m = measure_pipeline(&spec, comp.as_ref(), field, eb);
                         comp_sum += if kernel_only {
                             m.comp_kernel_gbps

@@ -9,6 +9,7 @@
 use super::Ctx;
 use crate::all_compressors;
 use crate::report::{pct, Report};
+use crate::resolve_bound;
 use cuszp_core::ErrorBound;
 use datasets::{hurricane, DatasetId};
 use gpu_sim::{DeviceSpec, Gpu};
@@ -38,7 +39,7 @@ pub fn run(ctx: &Ctx) {
     );
     let spec = DeviceSpec::a100();
     let field = hurricane::field("U", &ctx.scale.shape(DatasetId::Hurricane));
-    let eb = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+    let eb = resolve_bound(&field, ErrorBound::Rel(1e-2));
 
     let mut out = Vec::new();
     for direction in ["compression", "decompression"] {

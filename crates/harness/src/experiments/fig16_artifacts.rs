@@ -24,7 +24,7 @@ pub fn find_eb_for_ratio(
     target: f64,
 ) -> (f64, f64) {
     let spec = DeviceSpec::a100();
-    let range = field.value_range() as f64;
+    let range = cuszp_core::value_range(&field.data);
     let (mut lo, mut hi) = (range * 1e-7, range * 0.5);
     let mut best = (lo, 0.0);
     for _ in 0..24 {

@@ -9,6 +9,7 @@
 
 use super::Ctx;
 use crate::report::{pct, Report};
+use crate::resolve_bound;
 use baselines::common::CuszpAdapter;
 use baselines::Compressor;
 use cuszp_core::{ErrorBound, STEP_BB, STEP_FE, STEP_GS, STEP_QP};
@@ -44,7 +45,7 @@ pub fn run(ctx: &Ctx) {
         let mut avg = [0.0f64; 4];
         for id in DatasetId::all() {
             let field = generate_subset(id, ctx.scale, 1).remove(0);
-            let eb = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+            let eb = resolve_bound(&field, ErrorBound::Rel(1e-2));
             let mut gpu = Gpu::new(spec.clone());
             let input = gpu.h2d(&field.data);
             gpu.reset_timeline();

@@ -11,6 +11,7 @@
 use super::Ctx;
 use crate::measure::measure_pipeline;
 use crate::report::{f2, Report};
+use crate::resolve_bound;
 use baselines::common::CuszpAdapter;
 use cuszp_core::ErrorBound;
 use datasets::{rtm, DatasetId};
@@ -44,7 +45,7 @@ pub fn run(ctx: &Ctx) {
     for step in (200..=3600).step_by(200) {
         let field = rtm::snapshot(step, &shape);
         let zero = rtm::zero_fraction(&field);
-        let eb = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+        let eb = resolve_bound(&field, ErrorBound::Rel(1e-2));
         let m = measure_pipeline(&spec, &comp, &field, eb);
         rows.push(vec![
             step.to_string(),

@@ -6,6 +6,7 @@
 use super::Ctx;
 use crate::measure::measure_pipeline;
 use crate::report::{f2, Report};
+use crate::resolve_bound;
 use baselines::common::CuszpAdapter;
 use cuszp_core::ErrorBound;
 use datasets::{rtm, DatasetId};
@@ -34,7 +35,7 @@ pub fn run(ctx: &Ctx) {
         &ctx.out_dir,
     );
     let field = rtm::snapshot(1500, &ctx.scale.shape(DatasetId::Rtm));
-    let eb = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+    let eb = resolve_bound(&field, ErrorBound::Rel(1e-2));
     let comp = CuszpAdapter::new();
 
     let specs = [

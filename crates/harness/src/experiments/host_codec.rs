@@ -11,11 +11,11 @@
 //! root — a perf trajectory successive PRs are judged against.
 //!
 //! **Methodology.** Decompress rows time the warm-arena
-//! [`fast::decompress_into_at`] serving path — the one the pipeline
-//! workers, the service, and the store all run — so the number is codec
-//! throughput, not allocator throughput. A supplementary
+//! [`fast::decompress_into_threaded_at`] serving path — the one the
+//! pipeline workers, the service, and the store all run — so the number
+//! is codec throughput, not allocator throughput. A supplementary
 //! `decompress_owned` row (top tier only) times the allocating
-//! [`fast::decompress`] wrapper; at 32 MiB outputs that path is
+//! [`Cuszp::decompress_threaded`] wrapper; at 32 MiB outputs that path is
 //! dominated by glibc's mmap-threshold churn and understates the codec
 //! severalfold, which is exactly why the arena API exists (see
 //! DESIGN.md "Buffer reuse"). The JSON records which tier each row ran
@@ -24,7 +24,7 @@
 
 use super::Ctx;
 use crate::report::{f2, Report};
-use cuszp_core::{fast, host_ref, simd, CuszpConfig, FloatData, Scratch, SimdLevel};
+use cuszp_core::{fast, host_ref, simd, Cuszp, CuszpConfig, FloatData, Scratch, SimdLevel};
 use datasets::Scale;
 use serde::Serialize;
 use std::time::Instant;
@@ -153,13 +153,21 @@ fn measure<T: FloatData + Default + Copy>(
         assert_eq!(stream, fast_stream, "fast codec must be byte-identical");
 
         let c_fast = best_seconds(iters, || fast::compress(data, eb, cfg));
-        let c_mt = best_seconds(iters, || fast::compress_threaded(data, eb, cfg, 0));
+        let c_mt = best_seconds(iters, || {
+            fast::compress_with(&mut Scratch::new(), data, eb, cfg, 0)
+        });
 
         // Steady-state serving path: warm arena, caller-owned output.
         let mut scratch = Scratch::new();
         let mut out = vec![T::default(); data.len()];
         let d_fast = best_seconds(iters, || {
-            fast::decompress_into_at(stream.as_ref(), &mut scratch, Some(level), &mut out)
+            fast::decompress_into_threaded_at(
+                stream.as_ref(),
+                1,
+                &mut scratch,
+                Some(level),
+                &mut out,
+            )
         });
         let d_mt = best_seconds(iters, || {
             fast::decompress_into_threaded_at(
@@ -178,12 +186,9 @@ fn measure<T: FloatData + Default + Copy>(
         if level == detected {
             // Supplementary: the allocating wrapper, so the cost of NOT
             // using the arena path stays on the record.
-            let d_own = best_seconds(iters, || {
-                fast::decompress_threaded_at::<T>(&stream, 1, Some(level))
-            });
-            let d_own_mt = best_seconds(iters, || {
-                fast::decompress_threaded_at::<T>(&stream, 0, Some(level))
-            });
+            let codec = Cuszp::with_config(cfg);
+            let d_own = best_seconds(iters, || codec.decompress_threaded::<T>(&stream, 1));
+            let d_own_mt = best_seconds(iters, || codec.decompress_threaded::<T>(&stream, 0));
             rows.push(row("decompress_owned", tier, d_ref, d_own, d_own_mt));
         }
     }
@@ -269,9 +274,10 @@ pub fn run(ctx: &Ctx) {
         elements: n,
         threads,
         detected_tier: detected.name().to_string(),
-        decompress_methodology: "decompress rows: warm-arena decompress_into_at (the \
-             pipeline/service/store serving path); decompress_owned rows: allocating \
-             decompress wrapper, top tier only, included so allocator cost stays visible"
+        decompress_methodology: "decompress rows: warm-arena decompress_into_threaded_at \
+             (the pipeline/service/store serving path); decompress_owned rows: allocating \
+             Cuszp::decompress_threaded, top tier only, included so allocator cost stays \
+             visible"
             .to_string(),
         rows: rows.clone(),
         dense_f32_compress_speedup: pick("compress"),

@@ -13,9 +13,9 @@
 //! the whole frame, next to the adaptive estimator's pick — plus a
 //! uniform-noise control where no mode can win and the estimator must
 //! get out of the way. The `fixed` rows time the first-stage codec
-//! itself (warm-arena `compress_into`/`decompress_into_at`, the same
-//! methodology as the hybrid rows), so the hybrid overhead factor is
-//! readable straight from the artifact.
+//! itself (warm-arena `compress_into`/`decompress_into_threaded_at`, the
+//! same methodology as the hybrid rows), so the hybrid overhead factor
+//! is readable straight from the artifact.
 //!
 //! Written as `BENCH_hybrid.json` at the repository root. Hard
 //! assertions (the ISSUE 9 acceptance criteria, now pinned per tier):
@@ -186,7 +186,7 @@ fn measure_dataset(
             });
             fixed_dec.sample(reps, || {
                 let r = cuszp_core::CompressedRef::parse(&plain).expect("own frame parses");
-                fast::decompress_into_at(r, &mut scratch, Some(level), &mut field);
+                fast::decompress_into_threaded_at(r, 1, &mut scratch, Some(level), &mut field);
                 std::hint::black_box(field.len());
             });
         }

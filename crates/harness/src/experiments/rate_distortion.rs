@@ -19,10 +19,11 @@
 use super::Ctx;
 use crate::measure::measure_pipeline;
 use crate::report::{f2, Report};
+use crate::resolve_bound;
 use crate::{error_bounded_compressors, CUZFP_RATES};
 use baselines::{Compressor, CuzfpLike};
 use cuszp_core::hybrid::{self, HybridRef, HybridScratch};
-use cuszp_core::{fast, CuszpConfig, ErrorBound, Scratch};
+use cuszp_core::{fast, simd, CuszpConfig, ErrorBound, Scratch};
 use datasets::{generate_subset, DatasetId};
 use gpu_sim::DeviceSpec;
 use metrics::ssim::ssim;
@@ -60,8 +61,15 @@ fn hybrid_stats(data: &[f32], eb: f64) -> (usize, f64, f64) {
     let mut plain = Vec::new();
     let mut frame = Vec::new();
     let mut back = Vec::new();
+    let level = simd::resolve_level(None);
     let r = fast::compress_into(&mut scratch, data, eb, CuszpConfig::default(), &mut plain);
-    hybrid::encode(&r, hybrid::auto_chunk_blocks(&r), &mut hs, &mut frame);
+    hybrid::encode_at(
+        &r,
+        hybrid::auto_chunk_blocks(&r),
+        level,
+        &mut hs,
+        &mut frame,
+    );
     let shipped = frame.len().min(plain.len());
 
     let reps = ((16 << 20) / raw.max(1)).clamp(1, 32);
@@ -71,7 +79,13 @@ fn hybrid_stats(data: &[f32], eb: f64) -> (usize, f64, f64) {
         let r = cuszp_core::CompressedRef::parse(&plain).expect("own frame parses");
         let t0 = Instant::now();
         for _ in 0..reps {
-            hybrid::encode(&r, hybrid::auto_chunk_blocks(&r), &mut hs, &mut frame);
+            hybrid::encode_at(
+                &r,
+                hybrid::auto_chunk_blocks(&r),
+                level,
+                &mut hs,
+                &mut frame,
+            );
             std::hint::black_box(frame.len());
         }
         best_enc = best_enc.min(t0.elapsed().as_secs_f64() / reps as f64);
@@ -99,7 +113,7 @@ pub fn measure(ctx: &Ctx) -> Vec<Point> {
         let field = generate_subset(id, ctx.scale, 1).remove(0);
         for comp in error_bounded_compressors() {
             for bound in ErrorBound::paper_rel_set() {
-                let eb = bound.absolute(field.value_range() as f64);
+                let eb = resolve_bound(&field, bound);
                 let m = measure_pipeline(&spec, comp.as_ref(), &field, eb);
                 let s = ssim(&field.data, &m.reconstruction, &field.shape);
                 points.push(Point {

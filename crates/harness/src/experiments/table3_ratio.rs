@@ -21,6 +21,7 @@ use super::Ctx;
 use crate::error_bounded_compressors;
 use crate::measure::measure_pipeline;
 use crate::report::{f2, Report};
+use crate::resolve_bound;
 use cuszp_core::ErrorBound;
 use datasets::{generate_subset, DatasetId};
 use gpu_sim::DeviceSpec;
@@ -95,7 +96,7 @@ pub fn measure(ctx: &Ctx) -> Vec<Cell> {
                 let ratios: Vec<f64> = fields
                     .iter()
                     .map(|field| {
-                        let eb = bound.absolute(field.value_range() as f64);
+                        let eb = resolve_bound(field, *bound);
                         measure_pipeline(&spec, comp.as_ref(), field, eb).ratio
                     })
                     .collect();
@@ -127,7 +128,7 @@ pub fn measure(ctx: &Ctx) -> Vec<Cell> {
             let ratios: Vec<f64> = fields
                 .iter()
                 .map(|field| {
-                    let eb = bound.absolute(field.value_range() as f64);
+                    let eb = resolve_bound(field, *bound);
                     let stream = hybrid_codec.compress_serialized(&field.data, ErrorBound::Abs(eb));
                     field.size_bytes() as f64 / stream.len() as f64
                 })

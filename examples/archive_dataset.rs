@@ -1,60 +1,70 @@
 //! Archive a whole dataset: compress every field of a synthetic NYX
-//! snapshot into one `.cuszpar` container, write it to disk, reload it,
-//! and verify every field — the batch workflow a simulation campaign would
-//! use for post-hoc analysis storage.
+//! snapshot into one `cuszp-store` shard per field, write the shards to
+//! a directory, reopen them, and verify every field — the batch workflow
+//! a simulation campaign would use for post-hoc analysis storage.
 //!
 //! ```text
 //! cargo run --release --example archive_dataset
 //! ```
 
-use cuszp_core::{Archive, CuszpConfig, ErrorBound};
+use cuszp_core::ErrorBound;
+use cuszp_store::{write_shard, CodecRegistry, CuszpCodec, Shard, StoreScratch};
 use datasets::{generate, DatasetId, Scale};
+
+/// Chunk edge per axis: 64³ chunks keep each frame a few hundred KiB.
+const CHUNK_EDGE: usize = 64;
 
 fn main() {
     let fields = generate(DatasetId::Nyx, Scale::Small);
     let bound = ErrorBound::Rel(1e-3);
+    let dir = std::env::temp_dir().join(format!("nyx_snapshot.{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create archive directory");
 
-    let mut archive = Archive::new();
+    // The REL denominator is each field's own value range, as in the
+    // per-file artifact workflow; the shard keeps the resolved bound.
+    let mut bounds = Vec::with_capacity(fields.len());
+    let (mut raw, mut stored) = (0u64, 0u64);
     for field in &fields {
-        archive.push(
-            field.name.clone(),
-            field.shape.clone(),
-            &field.data,
-            bound,
-            CuszpConfig::default(),
-        );
-        let e = archive.entries.last().expect("just pushed");
+        let eb = harness::resolve_bound(field, bound);
+        let chunk: Vec<usize> = field.shape.iter().map(|&d| d.min(CHUNK_EDGE)).collect();
+        let shard = write_shard(&field.data, &field.shape, &chunk, &CuszpCodec, eb)
+            .expect("field fits the shard format");
+        std::fs::write(dir.join(format!("{}.shard", field.name)), &shard).expect("write shard");
         println!(
             "  {:<22} {:>9} -> {:>9} bytes ({:.2}x, eb {:.3e})",
             field.name,
             field.size_bytes(),
-            e.stream.stream_bytes(),
-            field.size_bytes() as f64 / e.stream.stream_bytes() as f64,
-            e.stream.eb
+            shard.len(),
+            field.size_bytes() as f64 / shard.len() as f64,
+            eb
         );
+        raw += field.size_bytes();
+        stored += shard.len() as u64;
+        bounds.push(eb);
     }
-
-    let path = std::env::temp_dir().join("nyx_snapshot.cuszpar");
-    std::fs::write(&path, archive.to_bytes()).expect("write archive");
     println!(
-        "\narchived {} fields: {:.1} MB -> {:.1} MB ({:.2}x) at {}",
-        archive.entries.len(),
-        archive.original_bytes() as f64 / 1e6,
-        archive.stream_bytes() as f64 / 1e6,
-        archive.original_bytes() as f64 / archive.stream_bytes() as f64,
-        path.display()
+        "\narchived {} fields: {:.1} MB -> {:.1} MB ({:.2}x) under {}",
+        fields.len(),
+        raw as f64 / 1e6,
+        stored as f64 / 1e6,
+        raw as f64 / stored as f64,
+        dir.display()
     );
 
-    // Reload and verify every field against its own bound.
-    let bytes = std::fs::read(&path).expect("read archive");
-    let reloaded = Archive::from_bytes(&bytes).expect("parse archive");
-    for field in &fields {
-        let restored: Vec<f32> = reloaded
-            .decompress(&field.name)
-            .expect("field present in archive");
-        let entry = reloaded.get(&field.name).expect("entry present");
+    // Reopen every shard from disk and verify each field against its
+    // own bound.
+    let registry = CodecRegistry::with_defaults();
+    let mut scratch = StoreScratch::new();
+    for (field, &eb) in fields.iter().zip(&bounds) {
+        let shard =
+            Shard::open_path(&dir.join(format!("{}.shard", field.name))).expect("shard reopens");
+        assert_eq!(shard.shape(), &field.shape[..], "{} shape", field.name);
+        let mut restored = vec![0f32; shard.num_elements()];
+        shard
+            .read_all(&registry, &mut scratch, &mut restored)
+            .expect("shard decodes");
         assert!(
-            cuszp_core::verify::check_bound(&field.data, &restored, entry.stream.eb),
+            cuszp_core::verify::check_bound(&field.data, &restored, eb),
             "{} violated its bound after the disk round trip",
             field.name
         );
@@ -63,5 +73,5 @@ fn main() {
         "all {} fields verified within bound after reload",
         fields.len()
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -27,7 +27,7 @@ fn main() {
     for step in (200..=3600).step_by(200) {
         // The "simulation" produces this snapshot on the device.
         let field = datasets::rtm::snapshot(step, &shape);
-        let eb = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+        let eb = ErrorBound::Rel(1e-2).absolute(cuszp_core::value_range(&field.data));
         let mut gpu = Gpu::new(spec.clone());
         let input = gpu.h2d(&field.data);
 

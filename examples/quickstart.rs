@@ -17,7 +17,7 @@ fn main() {
         field.shape,
         field.len(),
         field.size_bytes() as f64 / 1e6,
-        field.value_range()
+        cuszp_core::value_range(&field.data)
     );
 
     // 2. Pick an error bound: REL 1e-3 of the value range.

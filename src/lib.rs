@@ -38,7 +38,8 @@ pub use metrics;
 /// let (ratio, comp, decomp, err) =
 ///     cuszp_repro::roundtrip_cuszp(&field, cuszp_core::ErrorBound::Rel(1e-3));
 /// assert!(ratio > 1.0 && comp > 0.0 && decomp > 0.0);
-/// assert!(err <= 1e-3 * field.value_range() as f64 * 1.000001);
+/// let range = cuszp_core::value_range(&field.data);
+/// assert!(err <= 1e-3 * range * 1.000001);
 /// ```
 pub fn roundtrip_cuszp(
     field: &datasets::Field,
@@ -49,7 +50,7 @@ pub fn roundtrip_cuszp(
         &gpu_sim::DeviceSpec::a100(),
         &CuszpAdapter::new(),
         field,
-        bound.absolute(field.value_range() as f64),
+        harness::resolve_bound(field, bound),
     );
     (m.ratio, m.comp_e2e_gbps, m.decomp_e2e_gbps, m.max_abs_error)
 }

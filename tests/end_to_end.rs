@@ -6,6 +6,7 @@ use baselines::{Compressor, CuszLike, CuszxLike, CuzfpLike};
 use cuszp_core::ErrorBound;
 use datasets::{generate_subset, DatasetId, Scale};
 use gpu_sim::{DeviceSpec, Gpu};
+use harness::resolve_bound;
 
 fn bound_ok(data: &[f32], recon: &[f32], eb: f64) -> bool {
     data.iter().zip(recon).all(|(&d, &r)| {
@@ -25,7 +26,7 @@ fn error_bounded_compressors_respect_bounds_on_all_datasets() {
     for id in DatasetId::all() {
         for field in generate_subset(id, Scale::Tiny, 2) {
             for bound in [ErrorBound::Rel(1e-1), ErrorBound::Rel(1e-3)] {
-                let eb = bound.absolute(field.value_range() as f64);
+                let eb = resolve_bound(&field, bound);
                 for comp in &compressors {
                     let mut gpu = Gpu::new(spec.clone());
                     let input = gpu.h2d(&field.data);
@@ -79,7 +80,7 @@ fn cuzfp_fixed_rate_on_all_datasets() {
 fn cuszp_is_single_kernel_baselines_are_not() {
     let spec = DeviceSpec::a100();
     let field = generate_subset(DatasetId::Hurricane, Scale::Tiny, 1).remove(0);
-    let eb = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+    let eb = resolve_bound(&field, ErrorBound::Rel(1e-2));
 
     let mut gpu = Gpu::new(spec.clone());
     let input = gpu.h2d(&field.data);
@@ -108,7 +109,7 @@ fn end_to_end_speedup_ordering_holds() {
     // ordering must hold.
     let spec = DeviceSpec::a100();
     let field = generate_subset(DatasetId::Nyx, Scale::Tiny, 1).remove(0);
-    let eb = ErrorBound::Rel(1e-2).absolute(field.value_range() as f64);
+    let eb = resolve_bound(&field, ErrorBound::Rel(1e-2));
     let e2e = |comp: &dyn Compressor| -> f64 {
         let mut gpu = Gpu::new(spec.clone());
         let input = gpu.h2d(&field.data);
@@ -136,7 +137,7 @@ fn compression_ratio_decreases_with_tighter_bounds() {
         let field = generate_subset(id, Scale::Tiny, 1).remove(0);
         let mut prev = f64::INFINITY;
         for rel in [1e-1, 1e-2, 1e-3, 1e-4] {
-            let eb = rel * field.value_range() as f64;
+            let eb = resolve_bound(&field, ErrorBound::Rel(rel));
             let mut gpu = Gpu::new(spec.clone());
             let input = gpu.h2d(&field.data);
             let stream = comp.compress(&mut gpu, &input, &field.shape, eb);

@@ -5,7 +5,7 @@
 //! by construction; this suite is the executable proof). Round-trips must
 //! also honor the error bound.
 
-use cuszp_repro::cuszp_core::{fast, host_ref, CuszpConfig, DType, FloatData};
+use cuszp_repro::cuszp_core::{fast, host_ref, Cuszp, CuszpConfig, DType, FloatData, Scratch};
 use proptest::prelude::*;
 
 /// Thread counts that exercise: sequential, the threaded path with few /
@@ -19,9 +19,10 @@ fn assert_fast_matches_ref<T: FloatData>(
 ) -> Result<(), TestCaseError> {
     let reference = host_ref::compress(data, eb, cfg);
     let ref_back: Vec<T> = host_ref::decompress(&reference);
+    let codec = Cuszp::with_config(cfg);
 
     for threads in THREADS {
-        let stream = fast::compress_threaded(data, eb, cfg, threads);
+        let stream = fast::compress_with(&mut Scratch::new(), data, eb, cfg, threads);
         prop_assert_eq!(&stream, &reference, "stream differs (threads={})", threads);
         prop_assert_eq!(
             stream.to_bytes(),
@@ -29,7 +30,7 @@ fn assert_fast_matches_ref<T: FloatData>(
             "serialized bytes differ (threads={})",
             threads
         );
-        let back: Vec<T> = fast::decompress_threaded(&stream, threads);
+        let back: Vec<T> = codec.decompress_threaded(&stream, threads);
         prop_assert_eq!(
             &back,
             &ref_back,
@@ -142,7 +143,7 @@ fn non_finite_values_byte_identical() {
     let reference = host_ref::compress(&data, 0.01, cfg);
     for threads in THREADS {
         assert_eq!(
-            fast::compress_threaded(&data, 0.01, cfg, threads),
+            fast::compress_with(&mut Scratch::new(), &data, 0.01, cfg, threads),
             reference
         );
     }

@@ -7,6 +7,7 @@ use baselines::{Compressor, CuszLike, CuszxLike};
 use cuszp_core::ErrorBound;
 use datasets::{generate_subset, DatasetId, Scale};
 use gpu_sim::{DeviceSpec, Gpu};
+use harness::resolve_bound;
 
 fn field() -> datasets::Field {
     generate_subset(DatasetId::Hurricane, Scale::Tiny, 1).remove(0)
@@ -17,7 +18,7 @@ fn single_kernel_end_to_end_equals_kernel_throughput() {
     // Paper §2.2: "in single-kernel GPU compressor design, end-to-end
     // throughput is the same as kernel throughput."
     let f = field();
-    let eb = ErrorBound::Rel(1e-2).absolute(f.value_range() as f64);
+    let eb = resolve_bound(&f, ErrorBound::Rel(1e-2));
     let mut gpu = Gpu::new(DeviceSpec::a100());
     let input = gpu.h2d(&f.data);
     gpu.reset_timeline();
@@ -30,7 +31,7 @@ fn single_kernel_end_to_end_equals_kernel_throughput() {
 #[test]
 fn multi_kernel_pipelines_have_kernel_faster_than_end_to_end() {
     let f = field();
-    let eb = ErrorBound::Rel(1e-2).absolute(f.value_range() as f64);
+    let eb = resolve_bound(&f, ErrorBound::Rel(1e-2));
     for comp in [
         Box::new(CuszLike::new()) as Box<dyn Compressor>,
         Box::new(CuszxLike::new()),
@@ -52,7 +53,7 @@ fn multi_kernel_pipelines_have_kernel_faster_than_end_to_end() {
 #[test]
 fn breakdown_fractions_cover_the_window() {
     let f = field();
-    let eb = ErrorBound::Rel(1e-2).absolute(f.value_range() as f64);
+    let eb = resolve_bound(&f, ErrorBound::Rel(1e-2));
     let mut gpu = Gpu::new(DeviceSpec::a100());
     let input = gpu.h2d(&f.data);
     gpu.reset_timeline();
@@ -66,7 +67,7 @@ fn breakdown_fractions_cover_the_window() {
 #[test]
 fn faster_devices_give_faster_kernels() {
     let f = field();
-    let eb = ErrorBound::Rel(1e-2).absolute(f.value_range() as f64);
+    let eb = resolve_bound(&f, ErrorBound::Rel(1e-2));
     let mut results = Vec::new();
     for spec in [
         DeviceSpec::a100(),
@@ -88,7 +89,7 @@ fn faster_devices_give_faster_kernels() {
 #[test]
 fn simulated_time_is_deterministic() {
     let f = field();
-    let eb = ErrorBound::Rel(1e-2).absolute(f.value_range() as f64);
+    let eb = resolve_bound(&f, ErrorBound::Rel(1e-2));
     let run = |workers: usize| -> f64 {
         let mut gpu = Gpu::new(DeviceSpec::a100()).with_workers(workers);
         let input = gpu.h2d(&f.data);
@@ -112,7 +113,7 @@ fn sparse_snapshots_run_faster_than_dense_ones() {
     let sparse = datasets::rtm::snapshot(300, &shape);
     let dense = datasets::rtm::snapshot(3200, &shape);
     let gbps = |f: &datasets::Field| -> f64 {
-        let eb = ErrorBound::Rel(1e-2).absolute(f.value_range() as f64);
+        let eb = resolve_bound(f, ErrorBound::Rel(1e-2));
         let mut gpu = Gpu::new(DeviceSpec::a100());
         let input = gpu.h2d(&f.data);
         gpu.reset_timeline();
