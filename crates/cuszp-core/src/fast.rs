@@ -45,7 +45,9 @@
 //!
 //! Both decoders share one validate-and-Eq-2-offset-scan preamble; only
 //! the full decode additionally demands the payload length match Eq 2
-//! exactly.
+//! exactly. The owned `CUSZPCH1` restore
+//! ([`crate::Cuszp::decompress_chunked`]) runs the one-thread full decode
+//! on whole chunks, one group of chunks per core.
 //!
 //! ## The zero-allocation steady state
 //!
@@ -846,6 +848,73 @@ pub fn decompress_into_threaded_at<T: FloatData>(
         });
     if let Some(first) = jobs.next() {
         run_workers(scratch.ranges.len(), first, jobs);
+    }
+}
+
+/// Decode a container's streams, in order, into consecutive slices of
+/// `out` — the chunk-parallel restore behind
+/// [`crate::Cuszp::decompress_chunked`] and
+/// [`crate::Cuszp::decompress_container_bytes`].
+///
+/// The chunks are split into `min(host parallelism, chunks.len())`
+/// contiguous groups of **whole** chunks, balanced by element count. Each
+/// group runs on one worker with its own [`Scratch`], decoding chunk by
+/// chunk with one-thread [`decompress_into_threaded_at`] calls at
+/// `simd_level`; the first group runs on the calling thread, so one chunk
+/// (or one CPU) never spawns. Chunks decode independently, so the output
+/// is identical for every core count, and every element of `out` is
+/// written and none is read.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the chunks' total element count, or
+/// on any per-chunk failure of [`decompress_into_threaded_at`] (dtype,
+/// structure, exact payload length). A panicking worker is joined before
+/// the panic propagates.
+pub(crate) fn decompress_chunks_into<T: FloatData>(
+    chunks: &[CompressedRef<'_>],
+    simd_level: Option<SimdLevel>,
+    out: &mut [T],
+) {
+    let total = out.len();
+    // Checked, so every per-chunk count below is at most `total` and its
+    // cast is exact: the groups' slices tile `out` with no gap.
+    assert_eq!(
+        chunks
+            .iter()
+            .try_fold(0u64, |acc, c| acc.checked_add(c.num_elements)),
+        Some(total as u64),
+        "output slice length != container elements"
+    );
+    let elems = |c: &CompressedRef<'_>| c.num_elements as usize;
+    let groups = resolve_threads(0).min(chunks.len());
+    let (mut chunks_rest, mut out_rest, mut done) = (chunks, out, 0usize);
+    let mut jobs = (1..=groups).map(|g| {
+        // Close group `g` once it brings the running element count to
+        // `g/groups` of the total, leaving one chunk for each later
+        // group; the last group takes whatever remains.
+        let target = (total as u128 * g as u128 / groups as u128) as usize;
+        let max_take = chunks_rest.len() - (groups - g);
+        let (mut take, mut len) = (0, 0);
+        while take < max_take && (take == 0 || g == groups || done + len < target) {
+            len += elems(&chunks_rest[take]);
+            take += 1;
+        }
+        done += len;
+        let (mine, rest) = chunks_rest.split_at(take);
+        chunks_rest = rest;
+        let (mut dst, rest) = std::mem::take(&mut out_rest).split_at_mut(len);
+        out_rest = rest;
+        move || {
+            let mut scratch = Scratch::new();
+            for &c in mine {
+                let (head, tail) = std::mem::take(&mut dst).split_at_mut(elems(&c));
+                decompress_into_threaded_at(c, 1, &mut scratch, simd_level, head);
+                dst = tail;
+            }
+        }
+    });
+    if let Some(first) = jobs.next() {
+        run_workers(groups, first, jobs);
     }
 }
 

@@ -50,6 +50,11 @@
 //! - **Full decode** — [`fast::decompress_into_threaded_at`];
 //!   [`fast::decompress_into`] is its one-thread, default-tier form, and
 //!   [`Cuszp::decompress_threaded`] the owned one.
+//! - **Chunked restore** — [`Cuszp::decompress_chunked`] and
+//!   [`Cuszp::decompress_container_bytes`] split a `CUSZPCH1`
+//!   container's chunks into whole-chunk groups, one per core, and run
+//!   the one-thread full decode on each group into disjoint slices of one
+//!   uninitialised output; one chunk decodes on the calling thread.
 //! - **Partial decode** — [`fast::decompress_blocks_into`], the
 //!   block-range read behind the shard store.
 //! - **Hybrid stage** — [`hybrid::encode_at`] / [`hybrid::encode_with_at`]
@@ -169,27 +174,15 @@ impl Cuszp {
     /// Decompress on the host with `threads` workers (`0` ⇒ host
     /// parallelism). Identical output for every thread count.
     pub fn decompress_threaded<T: FloatData>(&self, c: &Compressed, threads: usize) -> Vec<T> {
-        let n = c.num_elements as usize;
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        // SAFETY: `T` is sealed to `f32`/`f64` — plain-old-data, no drop,
-        // no invalid bit patterns — and the decoder stores to every element
-        // of the slice (every block exit — fill, fused, or strip — writes
-        // its full element range) before `set_len` makes them observable.
-        // Writing through the raw-parts slice rather than
-        // `vec![T::default(); n]` skips a full-size memset the decoder
-        // would immediately overwrite.
-        unsafe {
-            let uninit = std::slice::from_raw_parts_mut(out.as_mut_ptr(), n);
+        decode_owned(c.num_elements as usize, |out| {
             fast::decompress_into_threaded_at(
                 c.as_ref(),
                 threads,
                 &mut Scratch::new(),
                 self.config.simd,
-                uninit,
-            );
-            out.set_len(n);
-        }
-        out
+                out,
+            )
+        })
     }
 
     /// Compress straight to serialized bytes, honoring
@@ -279,9 +272,9 @@ impl Cuszp {
                     limit: max_elements as u64,
                 });
             }
-            let mut out = vec![T::default(); r.num_elements as usize];
-            fast::decompress_into_threaded_at(r, 1, &mut scratch, self.config.simd, &mut out);
-            Ok(out)
+            Ok(decode_owned(r.num_elements as usize, |out| {
+                fast::decompress_into_threaded_at(r, 1, &mut scratch, self.config.simd, out)
+            }))
         }
     }
 
@@ -313,38 +306,61 @@ impl Cuszp {
     }
 
     /// Decompress a chunked container, concatenating the chunks in order.
+    ///
+    /// The restore uses the host's parallelism: the chunks are split into
+    /// `min(available_parallelism, num_chunks)` contiguous groups of whole
+    /// chunks, balanced by element count, and each group decodes on one
+    /// worker straight into its slice of the uninitialised output (no
+    /// memset). A one-chunk container, or a one-CPU host, decodes on the
+    /// calling thread without spawning. Chunks decode independently at the
+    /// tier pinned by [`CuszpConfig::simd`], so the output is identical on
+    /// every core count.
+    ///
+    /// # Panics
+    /// Panics if a chunk's dtype differs from `T` or a chunk is
+    /// structurally invalid (see [`fast::decompress_into_threaded_at`]);
+    /// no partially decoded output is ever returned.
     pub fn decompress_chunked<T: FloatData>(&self, c: &ChunkedCompressed) -> Vec<T> {
-        let mut scratch = Scratch::new();
-        let mut out = vec![T::default(); c.total_elements() as usize];
-        let mut at = 0usize;
-        for chunk in &c.chunks {
-            let n = chunk.num_elements as usize;
-            fast::decompress_into(chunk.as_ref(), &mut scratch, &mut out[at..at + n]);
-            at += n;
-        }
-        out
+        let refs: Vec<CompressedRef<'_>> = c.chunks.iter().map(Compressed::as_ref).collect();
+        self.restore_chunks(&refs)
+            .expect("container element count overflows usize")
     }
 
     /// Decompress a **serialized** chunked container directly from its
     /// bytes, copy-free: chunk payloads are decoded as borrowed slices of
-    /// `bytes` ([`chunk_refs`]) — no frame is ever cloned, and one
-    /// [`Scratch`] arena serves every chunk. This is the path to point at
-    /// a memory-mapped archive.
+    /// `bytes` ([`chunk_refs`]) — no frame is ever cloned. This is the path
+    /// to point at a memory-mapped archive.
+    ///
+    /// Decodes on every core exactly like [`Cuszp::decompress_chunked`]:
+    /// whole-chunk groups balanced by element count, the first on the
+    /// calling thread (so a one-chunk container never spawns), identical
+    /// output on every core count. The chunks' element counts are summed
+    /// with overflow checks before anything is allocated.
+    ///
+    /// # Errors
+    /// Framing or frame errors from [`chunk_refs`], and
+    /// [`FormatError::Corrupt`] when the chunks' claimed element counts do
+    /// not sum to a `usize`.
+    ///
+    /// # Panics
+    /// Panics if a chunk's dtype differs from `T` (like
+    /// [`Cuszp::decompress_chunked`]).
     pub fn decompress_container_bytes<T: FloatData>(
         &self,
         bytes: &[u8],
     ) -> Result<Vec<T>, FormatError> {
-        let refs = chunk_refs(bytes)?;
-        let total: u64 = refs.iter().map(|r| r.num_elements).sum();
-        let mut scratch = Scratch::new();
-        let mut out = vec![T::default(); total as usize];
-        let mut at = 0usize;
-        for r in refs {
-            let n = r.num_elements as usize;
-            fast::decompress_into(r, &mut scratch, &mut out[at..at + n]);
-            at += n;
-        }
-        Ok(out)
+        self.restore_chunks(&chunk_refs(bytes)?)
+    }
+
+    /// The owned restore both `CUSZPCH1` decoders share.
+    fn restore_chunks<T: FloatData>(
+        &self,
+        refs: &[CompressedRef<'_>],
+    ) -> Result<Vec<T>, FormatError> {
+        let n = container_elements(refs)?;
+        Ok(decode_owned(n, |out| {
+            fast::decompress_chunks_into(refs, self.config.simd, out)
+        }))
     }
 
     /// Compress on the device in a single fused kernel. `eb` is absolute.
@@ -365,6 +381,42 @@ impl Cuszp {
     ) -> DeviceBuffer<T> {
         kernels::decompress_kernel(gpu, c)
     }
+}
+
+/// Total element count of a container's chunks, summed with overflow
+/// checks: the owned decoders size an uninitialised output from it, so
+/// it must be exact, never truncated.
+fn container_elements(refs: &[CompressedRef<'_>]) -> Result<usize, FormatError> {
+    refs.iter()
+        .try_fold(0u64, |acc, r| acc.checked_add(r.num_elements))
+        .and_then(|total| usize::try_from(total).ok())
+        .ok_or(FormatError::Corrupt("chunk element counts overflow"))
+}
+
+/// Allocate an `n`-element output and let `decode` fill it in place,
+/// skipping the full-size memset `vec![T::default(); n]` would spend on
+/// memory the decoder immediately overwrites.
+///
+/// Contract: `decode` is one of the full decoders
+/// ([`fast::decompress_into_threaded_at`] or
+/// `fast::decompress_chunks_into`), which store to every element of the
+/// slice and read none. Every caller is in this file. A panic in
+/// `decode` — on the calling thread or in any worker it joins — unwinds
+/// before `set_len`, so the `Vec` is dropped at length 0 and no
+/// uninitialised element is ever observable.
+fn decode_owned<T: FloatData>(n: usize, decode: impl FnOnce(&mut [T])) -> Vec<T> {
+    let mut out: Vec<T> = Vec::with_capacity(n);
+    // SAFETY: `T` is sealed to `f32`/`f64` — plain-old-data, no drop, no
+    // invalid bit patterns — and the capacity holds `n` elements. `decode`
+    // stores to every element of the slice (every block exit — fill,
+    // fused, or strip — writes its full element range, and a container's
+    // chunks tile the slice exactly) before `set_len` makes them
+    // observable; a panic skips `set_len` and leaves the length at 0.
+    unsafe {
+        decode(std::slice::from_raw_parts_mut(out.as_mut_ptr(), n));
+        out.set_len(n);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -417,6 +469,31 @@ mod tests {
         for (&d, &r) in data.iter().zip(&back) {
             assert!((d as f64 - r as f64).abs() <= c.eb * (1.0 + 1e-6));
         }
+    }
+
+    #[test]
+    fn forged_chunk_element_claims_that_overflow_are_a_typed_error() {
+        // Through `chunk_refs` each claim is backed by a fixed-length
+        // table of ⌈N / L⌉ bytes, so an overflowing sum needs gigabytes of
+        // frames; forge the parsed views directly instead.
+        let forged = CompressedRef {
+            num_elements: u64::MAX / 2 + 1,
+            block_len: 32,
+            eb: 1.0,
+            lorenzo: true,
+            dtype: DType::F32,
+            fixed_lengths: &[],
+            payload: &[],
+        };
+        assert_eq!(
+            container_elements(&[forged, forged]),
+            Err(FormatError::Corrupt("chunk element counts overflow"))
+        );
+        assert_eq!(
+            container_elements(&[forged]).ok(),
+            usize::try_from(forged.num_elements).ok()
+        );
+        assert_eq!(container_elements(&[]), Ok(0));
     }
 
     #[test]
