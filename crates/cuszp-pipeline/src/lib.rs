@@ -44,7 +44,7 @@ use std::time::Instant;
 pub mod pool;
 pub mod stats;
 
-pub use pool::{JobSource, Submitter, WorkerPool};
+pub use pool::{JobSource, WorkerPool};
 pub use stats::{BatchStats, StreamStats};
 
 /// Pipeline shape: worker count, queue bound, chunking, codec.
@@ -161,8 +161,8 @@ pub struct Pipeline<T: FloatData> {
 }
 
 impl<T: FloatData> Pipeline<T> {
-    /// Spawn the worker pool (a [`WorkerPool`] shared with the socket
-    /// service — same bounded admission queue, same drain semantics).
+    /// Spawn the worker pool (a [`WorkerPool`]: one bounded submission
+    /// queue, drained by [`Pipeline::finish`]).
     pub fn new(cfg: PipelineConfig) -> Self {
         cfg.validate();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();

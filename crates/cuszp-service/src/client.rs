@@ -146,12 +146,9 @@ impl Client {
 
     fn compress_impl<T: WireFloat>(&mut self, data: &[T]) -> Result<&[u8], ServiceError> {
         self.wire.clear();
-        for &v in data {
-            v.write_le(&mut self.wire);
-        }
-        self.stream
-            .write_all(&encode_request_header(OP_COMPRESS, self.wire.len() as u32))?;
-        self.stream.write_all(&self.wire)?;
+        T::extend_le(data, &mut self.wire);
+        let header = encode_request_header(OP_COMPRESS, self.wire.len() as u32);
+        write_frame(&mut self.stream, [&header, &self.wire])?;
         self.read_response()?;
         Ok(&self.resp)
     }
@@ -161,16 +158,17 @@ impl Client {
         container: &[u8],
         out: &mut Vec<T>,
     ) -> Result<(), ServiceError> {
-        self.stream.write_all(&encode_request_header(
-            OP_DECOMPRESS,
-            container.len() as u32,
-        ))?;
-        self.stream.write_all(container)?;
+        let header = encode_request_header(OP_DECOMPRESS, container.len() as u32);
+        write_frame(&mut self.stream, [&header, container])?;
         self.read_response()?;
-        out.clear();
-        for chunk in self.resp.chunks_exact(T::WIRE_SIZE) {
-            out.push(T::read_le(chunk));
+        if !self.resp.len().is_multiple_of(T::WIRE_SIZE) {
+            return Err(ServiceError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "decompress reply is not a whole number of elements",
+            )));
         }
+        out.clear();
+        T::extend_from_le(&self.resp, out);
         Ok(())
     }
 
@@ -189,7 +187,9 @@ impl Client {
     }
 
     /// Decompress a `CUSZPCH1` container (or, on hybrid connections, a
-    /// `CUSZPHY1` frame) into `out` (cleared first).
+    /// `CUSZPHY1` frame) into `out` (cleared first). An `OK` reply that
+    /// is not a whole number of elements is an
+    /// [`std::io::ErrorKind::InvalidData`] error, never truncated data.
     pub fn decompress_f32(
         &mut self,
         container: &[u8],

@@ -17,17 +17,21 @@
 //!    [`Scratch`] arena plus staging buffers, all pre-warmed at
 //!    handshake time to the tenant's declared payload cap
 //!    ([`Scratch::warm_for`] / [`cuszp_core::fast::max_stream_bytes`]).
-//!    The bundle travels to a codec worker *by value* through an
-//!    array-backed bounded channel and comes back the same way — after
-//!    the first request, a connection's request loop performs **no heap
-//!    operations** (proven by `tests/zero_alloc.rs`).
-//! 2. **Bounded admission.** Requests are admitted to a shared
-//!    [`WorkerPool`] via [`Submitter::try_submit`]; a full queue yields
-//!    an immediate `BUSY` reply, never a stalled client. The queue bound
-//!    is the only admission policy — there is no hidden buffering.
+//!    A request runs the codec on the connection thread that read it,
+//!    over that arena, and the reply is written from the same buffers —
+//!    after the first request, a connection's request loop performs
+//!    **no heap operations** (proven by `tests/zero_alloc.rs`).
+//! 2. **Bounded admission.** Before running the codec a request takes a
+//!    slot from the server's admission gate: at most
+//!    [`ServiceConfig::workers`] requests run the codec at once, at most
+//!    [`ServiceConfig::queue_depth`] more wait for a slot, and anything
+//!    beyond that gets an immediate `BUSY` reply, never a stalled
+//!    client. The gate is the only admission policy — there is no
+//!    hidden buffering.
 //! 3. **Honest overload and shutdown.** [`Server::shutdown`] stops
 //!    accepting, half-closes live connections so in-flight requests
-//!    drain and their responses are delivered, then joins the pool.
+//!    drain and their responses are delivered, then joins every
+//!    connection thread.
 //!
 //! Live counters — request counts, socket and codec byte totals, the
 //! achieved compression ratio, and a p50/p99 service-latency histogram —
@@ -69,13 +73,11 @@ pub use protocol::Tenant;
 use cuszp_core::fast;
 use cuszp_core::hybrid::{self, HybridScratch, DEFAULT_CHUNK_BLOCKS, HYBRID_MAGIC};
 use cuszp_core::{chunk_ref_iter, CuszpConfig, DType, ErrorBound, FloatData, Scratch};
-use cuszp_pipeline::{Submitter, WorkerPool};
 use protocol::*;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,11 +87,12 @@ pub struct ServiceConfig {
     /// Bind address; use port `0` to let the OS pick (read it back from
     /// [`Server::addr`]).
     pub addr: String,
-    /// Codec worker threads draining the shared admission queue.
+    /// Requests that may run the codec at once (each on its own
+    /// connection thread); `0` is treated as `1`.
     pub workers: usize,
-    /// Jobs that may wait *queued* beyond the ones being processed;
+    /// Requests that may wait for a codec slot beyond the ones running;
     /// `0` makes admission a rendezvous (a request is admitted only when
-    /// a worker is free right now). Once the bound is hit, further
+    /// a slot is free right now). Once the bound is hit, further
     /// requests get `BUSY`.
     pub queue_depth: usize,
     /// Server-wide cap on a connection's raw payload size; tenant asks
@@ -97,10 +100,10 @@ pub struct ServiceConfig {
     pub max_payload: u32,
     /// Codec configuration applied to every compress request.
     pub codec: CuszpConfig,
-    /// Artificial minimum per-job service time, applied inside the
-    /// worker. `ZERO` (the default) for production; nonzero makes
-    /// overload deterministic for tests and lets the load generator
-    /// emulate slower codecs.
+    /// Artificial minimum per-job service time, applied while the
+    /// request holds its codec slot. `ZERO` (the default) for production;
+    /// nonzero makes overload deterministic for tests and lets the load
+    /// generator emulate slower codecs.
     pub service_floor: Duration,
 }
 
@@ -118,46 +121,45 @@ impl Default for ServiceConfig {
 }
 
 /// Little-endian wire conversion for the two element types the codec
-/// supports. Kept crate-private: the public API speaks `f32`/`f64`.
+/// supports. Both directions convert a whole buffer in one pass, which
+/// the compiler vectorises. Kept crate-private: the public API speaks
+/// `f32`/`f64`.
 pub(crate) trait WireFloat: FloatData {
     /// Element size on the wire, in bytes.
     const WIRE_SIZE: usize;
-    /// Read one element from the first `WIRE_SIZE` bytes.
-    fn read_le(b: &[u8]) -> Self;
-    /// Append this element's little-endian bytes.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// Append the little-endian bytes of every element of `src` to `out`.
+    fn extend_le(src: &[Self], out: &mut Vec<u8>);
+    /// Append one element per whole `WIRE_SIZE` bytes of `src` to `out`.
+    /// A trailing partial element is ignored: callers reject ragged
+    /// payloads first.
+    fn extend_from_le(src: &[u8], out: &mut Vec<Self>);
 }
 
-impl WireFloat for f32 {
-    const WIRE_SIZE: usize = 4;
-    fn read_le(b: &[u8]) -> Self {
-        f32::from_le_bytes(b[..4].try_into().unwrap())
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
+macro_rules! wire_float {
+    ($t:ty) => {
+        impl WireFloat for $t {
+            const WIRE_SIZE: usize = std::mem::size_of::<$t>();
+            fn extend_le(src: &[$t], out: &mut Vec<u8>) {
+                out.extend(src.iter().flat_map(|v| v.to_le_bytes()));
+            }
+            fn extend_from_le(src: &[u8], out: &mut Vec<$t>) {
+                out.extend(
+                    src.chunks_exact(Self::WIRE_SIZE)
+                        .map(|b| <$t>::from_le_bytes(b.try_into().unwrap())),
+                );
+            }
+        }
+    };
 }
 
-impl WireFloat for f64 {
-    const WIRE_SIZE: usize = 8;
-    fn read_le(b: &[u8]) -> Self {
-        f64::from_le_bytes(b[..8].try_into().unwrap())
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
+wire_float!(f32);
+wire_float!(f64);
 
-/// A connection's session arena: every buffer a request needs, owned as
-/// one bundle so the handler can move it to a codec worker and get it
-/// back without copies or allocations. Boxed so the move through the
-/// job channel is one pointer, not a memcpy of the whole struct.
+/// A connection's session arena: every buffer a request needs, warmed
+/// once at handshake and reused by every request on the connection.
 struct ConnBufs {
     tenant: Tenant,
     codec: CuszpConfig,
-    floor: Duration,
-    /// Request op being processed (`OP_COMPRESS`/`OP_DECOMPRESS`).
-    op: u8,
     /// Raw request payload as read off the socket.
     input: Vec<u8>,
     /// Typed staging for the tenant's dtype (only one is ever used).
@@ -173,21 +175,13 @@ struct ConnBufs {
     /// Hybrid chunk staging, warmed alongside `scratch`.
     hs: HybridScratch,
     scratch: Scratch,
-    /// Result of processing: a response `STATUS_*`.
-    status: u8,
-    /// Error message when `status == STATUS_ERR`.
-    err: &'static str,
-    /// Raw-side byte count of this request, for the codec-ratio metrics.
-    raw_len: u64,
 }
 
 impl ConnBufs {
-    fn new(tenant: Tenant, codec: CuszpConfig, floor: Duration) -> Box<ConnBufs> {
-        let mut b = Box::new(ConnBufs {
+    fn new(tenant: Tenant, codec: CuszpConfig) -> ConnBufs {
+        let mut b = ConnBufs {
             tenant,
             codec,
-            floor,
-            op: 0,
             input: Vec::new(),
             f32s: Vec::new(),
             f64s: Vec::new(),
@@ -195,10 +189,7 @@ impl ConnBufs {
             stage: Vec::new(),
             hs: HybridScratch::new(),
             scratch: Scratch::new(),
-            status: STATUS_OK,
-            err: "",
-            raw_len: 0,
-        });
+        };
         b.warm();
         b
     }
@@ -245,34 +236,13 @@ impl ConnBufs {
         };
         self.out.reserve(out_cap.max(cap));
     }
-
-    fn fail(&mut self, msg: &'static str) {
-        self.status = STATUS_ERR;
-        self.err = msg;
-    }
 }
 
-/// A unit of admitted work: the connection's buffer bundle plus the
-/// channel that returns it. Both ends are array-backed, so neither the
-/// submit nor the reply allocates.
-struct Job {
-    bufs: Box<ConnBufs>,
-    reply: SyncSender<Box<ConnBufs>>,
-}
-
-/// Decode `input` (raw LE elements) into `floats`.
-fn decode_le<T: WireFloat>(input: &[u8], floats: &mut Vec<T>) {
-    floats.clear();
-    for chunk in input.chunks_exact(T::WIRE_SIZE) {
-        floats.push(T::read_le(chunk));
-    }
-}
-
-/// Compress the request in `b` for element type `T`; `floats` is the
-/// matching typed staging buffer (a disjoint borrow of the same bundle).
-/// Hybrid tenants run the `CUSZPHY1` second stage over the plain frame
-/// staged in `stage`; when the stage does not shrink the frame, the
-/// plain frame is the response (and ships container-wrapped as usual).
+/// Compress `input` (raw LE elements) for element type `T`; `floats` is
+/// the matching typed staging buffer. Hybrid tenants run the `CUSZPHY1`
+/// second stage over the plain frame staged in `stage`; when the stage
+/// does not shrink the frame, the plain frame is the response (and ships
+/// container-wrapped as usual).
 #[allow(clippy::too_many_arguments)]
 fn process_compress_typed<T: WireFloat>(
     input: &[u8],
@@ -288,7 +258,8 @@ fn process_compress_typed<T: WireFloat>(
     if !input.len().is_multiple_of(T::WIRE_SIZE) {
         return Err("compress payload is not a whole number of elements");
     }
-    decode_le(input, floats);
+    floats.clear();
+    T::extend_from_le(input, floats);
     let eb = match bound {
         ErrorBound::Abs(d) => d,
         ErrorBound::Rel(l) => {
@@ -313,9 +284,9 @@ fn process_compress_typed<T: WireFloat>(
     Ok(())
 }
 
-/// Decompress the request in `b` (one `CUSZPCH1` container, or — for
-/// hybrid tenants — a raw `CUSZPHY1` frame) for element type `T`,
-/// leaving raw LE bytes in `out`.
+/// Decompress `input` (one `CUSZPCH1` container, or — for hybrid
+/// tenants — a raw `CUSZPHY1` frame) for element type `T`, leaving raw
+/// LE bytes in `out`.
 fn process_decompress_typed<T: WireFloat>(
     input: &[u8],
     floats: &mut Vec<T>,
@@ -341,9 +312,7 @@ fn process_decompress_typed<T: WireFloat>(
         floats.resize(total, T::from_f64(0.0));
         hybrid::decode_into(&r, hs, scratch, floats).map_err(|_| "corrupt CUSZPHY1 chunk")?;
         out.clear();
-        for &v in floats.iter() {
-            v.write_le(out);
-        }
+        T::extend_le(floats, out);
         return Ok(());
     }
     // Pass 1: framing + totals. `chunk_ref_iter` validates the container
@@ -373,72 +342,129 @@ fn process_decompress_typed<T: WireFloat>(
         at += n;
     }
     out.clear();
-    for &v in floats.iter() {
-        v.write_le(out);
-    }
+    T::extend_le(floats, out);
     Ok(())
 }
 
-/// Run one admitted job in place: dispatch on (op, dtype), leave the
-/// result status and response payload in the bundle.
-fn process(b: &mut ConnBufs) {
-    b.status = STATUS_OK;
-    b.err = "";
-    b.raw_len = 0;
-    let result = match (b.op, b.tenant.dtype) {
-        (OP_COMPRESS, DType::F32) => {
-            b.raw_len = b.input.len() as u64;
-            process_compress_typed(
-                &b.input,
-                &mut b.f32s,
-                &mut b.scratch,
-                &mut b.stage,
-                &mut b.hs,
-                &mut b.out,
-                b.tenant.bound,
-                b.codec,
-                b.tenant.hybrid,
-            )
-        }
-        (OP_COMPRESS, DType::F64) => {
-            b.raw_len = b.input.len() as u64;
-            process_compress_typed(
-                &b.input,
-                &mut b.f64s,
-                &mut b.scratch,
-                &mut b.stage,
-                &mut b.hs,
-                &mut b.out,
-                b.tenant.bound,
-                b.codec,
-                b.tenant.hybrid,
-            )
-        }
-        (OP_DECOMPRESS, DType::F32) => process_decompress_typed::<f32>(
-            &b.input,
-            &mut b.f32s,
-            &mut b.scratch,
-            &mut b.hs,
-            &mut b.out,
-            b.tenant.max_payload,
-            b.tenant.hybrid,
+/// Run one admitted request's codec work over the session arena,
+/// leaving the response payload in `b.out`.
+fn process(b: &mut ConnBufs, compress: bool) -> Result<(), &'static str> {
+    let ConnBufs {
+        tenant,
+        codec,
+        input,
+        f32s,
+        f64s,
+        out,
+        stage,
+        hs,
+        scratch,
+    } = b;
+    let (cap, hybrid) = (tenant.max_payload, tenant.hybrid);
+    match (compress, tenant.dtype) {
+        (true, DType::F32) => process_compress_typed(
+            input,
+            f32s,
+            scratch,
+            stage,
+            hs,
+            out,
+            tenant.bound,
+            *codec,
+            hybrid,
         ),
-        (OP_DECOMPRESS, DType::F64) => process_decompress_typed::<f64>(
-            &b.input,
-            &mut b.f64s,
-            &mut b.scratch,
-            &mut b.hs,
-            &mut b.out,
-            b.tenant.max_payload,
-            b.tenant.hybrid,
+        (true, DType::F64) => process_compress_typed(
+            input,
+            f64s,
+            scratch,
+            stage,
+            hs,
+            out,
+            tenant.bound,
+            *codec,
+            hybrid,
         ),
-        _ => Err("internal: unknown op reached worker"),
-    };
-    if let Err(msg) = result {
-        b.fail(msg);
+        (false, DType::F32) => process_decompress_typed(input, f32s, scratch, hs, out, cap, hybrid),
+        (false, DType::F64) => process_decompress_typed(input, f64s, scratch, hs, out, cap, hybrid),
     }
-    if !b.floor.is_zero() {
-        std::thread::sleep(b.floor);
+}
+
+/// The server's admission gate, shared by every connection thread: at
+/// most `workers` requests run the codec at once and at most
+/// `queue_depth` more wait for a slot; anything beyond that is refused.
+/// The lock is held only to update the counts, never across codec work.
+struct Admission {
+    workers: usize,
+    queue_depth: usize,
+    state: Mutex<Gate>,
+    /// Signalled each time a slot frees.
+    freed: Condvar,
+}
+
+/// Admission counts, guarded by [`Admission::state`].
+#[derive(Default)]
+struct Gate {
+    running: usize,
+    waiting: usize,
+    /// Requests that ran the codec to completion, over the server's
+    /// lifetime.
+    processed: u64,
+}
+
+impl Admission {
+    fn new(workers: usize, queue_depth: usize) -> Admission {
+        Admission {
+            workers: workers.max(1),
+            queue_depth,
+            state: Mutex::new(Gate::default()),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// The gate's counts. Nothing panics while holding the lock, and a
+    /// poisoned gate must not turn into a server that refuses everything.
+    fn lock(&self) -> MutexGuard<'_, Gate> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take a codec slot, waiting for one while the queue has room.
+    /// `None` means the request gets `BUSY`.
+    fn enter(&self) -> Option<Slot<'_>> {
+        let mut g = self.lock();
+        if g.running == self.workers {
+            if g.waiting == self.queue_depth {
+                return None;
+            }
+            g.waiting += 1;
+            g = self
+                .freed
+                .wait_while(g, |g| g.running == self.workers)
+                .unwrap_or_else(PoisonError::into_inner);
+            g.waiting -= 1;
+        }
+        g.running += 1;
+        Some(Slot(self))
+    }
+
+    fn processed(&self) -> u64 {
+        self.lock().processed
+    }
+}
+
+/// A held codec slot. Dropping it — after the codec returns, or while
+/// unwinding out of a panicking codec — frees the slot and wakes one
+/// waiting request.
+struct Slot<'a>(&'a Admission);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut g = self.0.lock();
+        g.running -= 1;
+        if !std::thread::panicking() {
+            g.processed += 1;
+        }
+        drop(g);
+        self.0.freed.notify_one();
     }
 }
 
@@ -450,45 +476,27 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     accept: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool<Job, u64>>,
+    admission: Arc<Admission>,
 }
 
 impl Server {
-    /// Bind, spawn the codec worker pool and the accept loop, and return
-    /// a handle. The server is ready for connections when this returns.
+    /// Bind, spawn the accept loop, and return a handle. The server is
+    /// ready for connections when this returns.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let metrics = Arc::new(ServiceMetrics::new());
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let pool: WorkerPool<Job, u64> = WorkerPool::new(
-            cfg.workers.max(1),
-            cfg.queue_depth,
-            |_, src: cuszp_pipeline::JobSource<Job>| {
-                let mut processed = 0u64;
-                while let Some(mut job) = src.next() {
-                    process(&mut job.bufs);
-                    processed += 1;
-                    // The handler is guaranteed to be blocked on the
-                    // matching recv; a send can only fail if the whole
-                    // connection thread died, in which case the bundle
-                    // is simply dropped.
-                    let _ = job.reply.send(job.bufs);
-                }
-                processed
-            },
-        );
-        let submitter = pool.handle();
+        let admission = Arc::new(Admission::new(cfg.workers, cfg.queue_depth));
 
         let accept = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || accept_loop(listener, stop, conns, metrics, submitter, cfg))
+            let admission = Arc::clone(&admission);
+            std::thread::spawn(move || accept_loop(listener, stop, conns, metrics, admission, cfg))
         };
 
         Ok(Server {
@@ -497,7 +505,7 @@ impl Server {
             stop,
             conns,
             accept: Some(accept),
-            pool: Some(pool),
+            admission,
         })
     }
 
@@ -513,31 +521,35 @@ impl Server {
     }
 
     fn shutdown_impl(&mut self) -> u64 {
-        // 1. Stop admitting new connections.
+        // 1. Stop admitting new connections. The accept loop blocks in
+        //    `accept`; one throwaway connection wakes it to see the flag.
         self.stop.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         // 2. Half-close live connections: handlers finish the request
         //    they are on (its response is still written — the write side
         //    stays open), then see EOF and exit.
         for c in self.conns.lock().expect("conn registry").iter() {
             let _ = c.shutdown(Shutdown::Read);
         }
-        // 3. The accept thread joins every handler; handlers drop their
-        //    submitter clones as they exit.
+        // 3. The accept thread joins every handler; a request waiting
+        //    for a codec slot still runs before its handler exits.
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // 4. With all submitters gone, the pool drains and its workers
-        //    exit.
-        match self.pool.take() {
-            Some(pool) => pool.close().into_iter().sum(),
-            None => 0,
-        }
+        self.admission.processed()
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests
     /// (their responses are delivered), join every thread. Returns the
-    /// total number of jobs the codec workers processed over the
-    /// server's lifetime.
+    /// total number of requests that ran the codec over the server's
+    /// lifetime.
     pub fn shutdown(mut self) -> u64 {
         self.shutdown_impl()
     }
@@ -545,7 +557,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.accept.is_some() || self.pool.is_some() {
+        if self.accept.is_some() {
             self.shutdown_impl();
         }
     }
@@ -556,44 +568,33 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     metrics: Arc<ServiceMetrics>,
-    submitter: Submitter<Job>,
+    admission: Arc<Admission>,
     cfg: ServiceConfig,
 ) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                // Register under the lock, re-checking the stop flag
-                // inside it: `shutdown` sets the flag *then* walks the
-                // registry, so a connection is either registered (and
-                // will be half-closed) or refused — never orphaned.
-                {
-                    let mut reg = conns.lock().expect("conn registry");
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(clone) = stream.try_clone() {
-                        reg.push(clone);
-                    }
-                }
-                let submitter = submitter.clone();
-                let metrics = Arc::clone(&metrics);
-                let server_cap = cfg.max_payload;
-                let codec = cfg.codec;
-                let floor = cfg.service_floor;
-                handlers.push(std::thread::spawn(move || {
-                    handle_conn(stream, submitter, metrics, server_cap, codec, floor);
-                }));
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { break };
+        // Register under the lock, re-checking the stop flag inside it:
+        // `shutdown` sets the flag *then* wakes this loop and walks the
+        // registry, so a connection is either registered (and will be
+        // half-closed) or refused — never orphaned.
+        {
+            let mut reg = conns.lock().expect("conn registry");
+            if stop.load(Ordering::SeqCst) {
+                break;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+            if let Ok(clone) = stream.try_clone() {
+                reg.push(clone);
             }
-            Err(_) => break,
         }
+        let admission = Arc::clone(&admission);
+        let metrics = Arc::clone(&metrics);
+        let server_cap = cfg.max_payload;
+        let codec = cfg.codec;
+        let floor = cfg.service_floor;
+        handlers.push(std::thread::spawn(move || {
+            handle_conn(stream, &admission, metrics, server_cap, codec, floor);
+        }));
     }
     for h in handlers {
         let _ = h.join();
@@ -605,7 +606,7 @@ fn accept_loop(
 /// happen during the handshake warm-up.
 fn handle_conn(
     mut stream: TcpStream,
-    submitter: Submitter<Job>,
+    admission: &Admission,
     metrics: Arc<ServiceMetrics>,
     server_cap: u32,
     codec: CuszpConfig,
@@ -615,14 +616,14 @@ fn handle_conn(
     metrics.active_connections.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
 
-    let result = run_session(&mut stream, submitter, &metrics, server_cap, codec, floor);
+    let result = run_session(&mut stream, admission, &metrics, server_cap, codec, floor);
     let _ = result; // all exits are normal teardown: EOF, error reply, or shutdown
     metrics.active_connections.fetch_sub(1, Ordering::Relaxed);
 }
 
 fn run_session(
     stream: &mut TcpStream,
-    submitter: Submitter<Job>,
+    admission: &Admission,
     metrics: &ServiceMetrics,
     server_cap: u32,
     codec: CuszpConfig,
@@ -647,8 +648,7 @@ fn run_session(
     stream.write_all(&encode_handshake_reply(STATUS_OK, 0, effective))?;
 
     // --- Session arena (the connection's entire allocation budget) ---
-    let mut bufs = Some(ConnBufs::new(tenant, codec, floor));
-    let (reply_tx, reply_rx) = sync_channel::<Box<ConnBufs>>(1);
+    let mut bufs = ConnBufs::new(tenant, codec);
     let mut metrics_text = String::with_capacity(8192);
 
     // --- Request loop ------------------------------------------------
@@ -666,8 +666,8 @@ fn run_session(
                 metrics_text.clear();
                 metrics.render_text(&mut metrics_text);
                 let body = metrics_text.as_bytes();
-                stream.write_all(&encode_response_header(STATUS_OK, body.len() as u32))?;
-                stream.write_all(body)?;
+                let header = encode_response_header(STATUS_OK, body.len() as u32);
+                write_frame(stream, [&header, body])?;
                 metrics
                     .bytes_in
                     .fetch_add(REQUEST_HEADER_BYTES as u64, Ordering::Relaxed);
@@ -683,37 +683,38 @@ fn run_session(
                     reply_err(stream, metrics, "request exceeds tenant payload cap")?;
                     return Ok(());
                 }
-                let mut b = bufs.take().expect("session bundle present");
-                b.input.clear();
-                b.input.resize(len as usize, 0);
-                if stream.read_exact(&mut b.input).is_err() {
+                bufs.input.clear();
+                bufs.input.resize(len as usize, 0);
+                if stream.read_exact(&mut bufs.input).is_err() {
                     return Ok(());
                 }
-                b.op = op;
                 metrics.bytes_in.fetch_add(
                     (REQUEST_HEADER_BYTES + len as usize) as u64,
                     Ordering::Relaxed,
                 );
 
-                match submitter.try_submit(Job {
-                    bufs: b,
-                    reply: reply_tx.clone(),
-                }) {
-                    Ok(()) => {
-                        let b = reply_rx.recv().expect("worker returns the bundle");
-                        write_codec_response(stream, metrics, &b, op, len)?;
-                        metrics.latency.record(t0.elapsed());
-                        bufs = Some(b);
+                // The slot is released at the end of this block, before
+                // the reply is written: a client that reads slowly never
+                // holds a codec slot.
+                let result = match admission.enter() {
+                    Some(_slot) => {
+                        let result = process(&mut bufs, op == OP_COMPRESS);
+                        if !floor.is_zero() {
+                            std::thread::sleep(floor);
+                        }
+                        result
                     }
-                    Err(job) => {
-                        bufs = Some(job.bufs);
+                    None => {
                         stream.write_all(&encode_response_header(STATUS_BUSY, 0))?;
                         metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
                         metrics
                             .bytes_out
                             .fetch_add(RESPONSE_HEADER_BYTES as u64, Ordering::Relaxed);
+                        continue;
                     }
-                }
+                };
+                write_codec_response(stream, metrics, &bufs.out, result, op, len)?;
+                metrics.latency.record(t0.elapsed());
             }
             _ => {
                 // Unknown op: the `len` field is untrusted — reply and
@@ -732,8 +733,8 @@ fn reply_err(
     msg: &'static str,
 ) -> std::io::Result<()> {
     metrics.errors.fetch_add(1, Ordering::Relaxed);
-    stream.write_all(&encode_response_header(STATUS_ERR, msg.len() as u32))?;
-    stream.write_all(msg.as_bytes())?;
+    let header = encode_response_header(STATUS_ERR, msg.len() as u32);
+    write_frame(stream, [&header, msg.as_bytes()])?;
     metrics.bytes_out.fetch_add(
         (RESPONSE_HEADER_BYTES + msg.len()) as u64,
         Ordering::Relaxed,
@@ -741,35 +742,37 @@ fn reply_err(
     Ok(())
 }
 
-/// Write the response for a processed codec job and account for it.
-/// `req_len` is the request payload length (the stream-side size of a
-/// decompress request).
+/// Write the response for a processed codec request and account for it.
+/// `out` is the response payload on success; `req_len` is the request
+/// payload length (the raw size of a compress request, the stream size
+/// of a decompress request).
 fn write_codec_response(
     stream: &mut TcpStream,
     metrics: &ServiceMetrics,
-    b: &ConnBufs,
+    out: &[u8],
+    result: Result<(), &'static str>,
     op: u8,
     req_len: u32,
 ) -> std::io::Result<()> {
-    match b.status {
-        STATUS_OK if op == OP_COMPRESS => {
+    match result {
+        Ok(()) if op == OP_COMPRESS => {
             // Response payload: a single-chunk CUSZPCH1 container,
             // written as header + frame without materializing it — or,
             // when the hybrid second stage won, the raw self-framing
             // CUSZPHY1 frame.
-            let hybrid_frame = b.out.starts_with(&HYBRID_MAGIC);
-            let total = if hybrid_frame {
-                b.out.len()
+            let wrap = single_chunk_container_header(out.len() as u64);
+            let wrap: &[u8] = if out.starts_with(&HYBRID_MAGIC) {
+                &[]
             } else {
-                single_chunk_container_len(b.out.len())
+                &wrap
             };
-            stream.write_all(&encode_response_header(STATUS_OK, total as u32))?;
-            if !hybrid_frame {
-                stream.write_all(&single_chunk_container_header(b.out.len() as u64))?;
-            }
-            stream.write_all(&b.out)?;
+            let total = wrap.len() + out.len();
+            let header = encode_response_header(STATUS_OK, total as u32);
+            write_frame(stream, [&header, wrap, out])?;
             metrics.compress_requests.fetch_add(1, Ordering::Relaxed);
-            metrics.raw_bytes.fetch_add(b.raw_len, Ordering::Relaxed);
+            metrics
+                .raw_bytes
+                .fetch_add(req_len as u64, Ordering::Relaxed);
             metrics
                 .stream_bytes
                 .fetch_add(total as u64, Ordering::Relaxed);
@@ -777,31 +780,132 @@ fn write_codec_response(
                 .bytes_out
                 .fetch_add((RESPONSE_HEADER_BYTES + total) as u64, Ordering::Relaxed);
         }
-        STATUS_OK => {
+        Ok(()) => {
             // Decompress: payload is the raw little-endian elements.
-            stream.write_all(&encode_response_header(STATUS_OK, b.out.len() as u32))?;
-            stream.write_all(&b.out)?;
+            let header = encode_response_header(STATUS_OK, out.len() as u32);
+            write_frame(stream, [&header, out])?;
             metrics.decompress_requests.fetch_add(1, Ordering::Relaxed);
             metrics
                 .raw_bytes
-                .fetch_add(b.out.len() as u64, Ordering::Relaxed);
+                .fetch_add(out.len() as u64, Ordering::Relaxed);
             metrics
                 .stream_bytes
                 .fetch_add(req_len as u64, Ordering::Relaxed);
             metrics.bytes_out.fetch_add(
-                (RESPONSE_HEADER_BYTES + b.out.len()) as u64,
+                (RESPONSE_HEADER_BYTES + out.len()) as u64,
                 Ordering::Relaxed,
             );
         }
-        _ => {
-            stream.write_all(&encode_response_header(STATUS_ERR, b.err.len() as u32))?;
-            stream.write_all(b.err.as_bytes())?;
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            metrics.bytes_out.fetch_add(
-                (RESPONSE_HEADER_BYTES + b.err.len()) as u64,
-                Ordering::Relaxed,
-            );
-        }
+        Err(msg) => reply_err(stream, metrics, msg)?,
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_codec_frees_its_slot() {
+        let gate = Admission::new(1, 0);
+        let unwound = std::panic::catch_unwind(|| {
+            let _slot = gate.enter().expect("the only slot is free");
+            assert!(gate.enter().is_none(), "a full rendezvous gate refuses");
+            panic!("codec panicked while holding the slot");
+        });
+        assert!(unwound.is_err());
+        assert!(
+            gate.enter().is_some(),
+            "unwinding out of the codec must free its slot"
+        );
+        assert_eq!(gate.processed(), 1, "only the completed request counts");
+    }
+
+    /// The IEEE special cases followed by xorshift64 bit patterns.
+    fn bit_patterns(specials: &[u64]) -> Vec<u64> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut bits = specials.to_vec();
+        bits.extend((0..4099).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }));
+        bits
+    }
+
+    /// `extend_le`/`extend_from_le` against per-element
+    /// `to_le_bytes`/`from_le_bytes`, compared bit for bit; both append
+    /// after existing contents.
+    fn check_wire<T: WireFloat>(
+        vals: &[T],
+        to_le: impl Fn(T) -> Vec<u8>,
+        from_le: impl Fn(&[u8]) -> T,
+        bits: impl Fn(T) -> u64,
+    ) {
+        let mut want = vec![0xA5];
+        for &v in vals {
+            want.extend(to_le(v));
+        }
+        let mut bytes = vec![0xA5];
+        T::extend_le(vals, &mut bytes);
+        assert_eq!(bytes, want);
+
+        let mut back = vec![vals[0]];
+        T::extend_from_le(&bytes[1..], &mut back);
+        assert_eq!(back.len(), vals.len() + 1);
+        for (i, (&got, chunk)) in back[1..]
+            .iter()
+            .zip(bytes[1..].chunks_exact(T::WIRE_SIZE))
+            .enumerate()
+        {
+            assert_eq!(bits(got), bits(from_le(chunk)), "element {i}");
+            assert_eq!(bits(got), bits(vals[i]), "element {i}");
+        }
+    }
+
+    #[test]
+    fn bulk_wire_conversion_is_bit_exact() {
+        let f32s: Vec<f32> = bit_patterns(&[
+            0x0000_0000, // +0
+            0x8000_0000, // -0
+            0x7F80_0000, // +inf
+            0xFF80_0000, // -inf
+            0x0000_0001, // smallest subnormal
+            0x807F_FFFF, // largest negative subnormal
+            0x7FC0_0000, // quiet NaN
+            0x7FA0_1234, // signalling NaN with payload
+            0xFFC0_BEEF, // negative quiet NaN with payload
+        ])
+        .into_iter()
+        .map(|b| f32::from_bits(b as u32))
+        .collect();
+        check_wire(
+            &f32s,
+            |v| v.to_le_bytes().to_vec(),
+            |b| f32::from_le_bytes(b.try_into().unwrap()),
+            |v| v.to_bits() as u64,
+        );
+
+        let f64s: Vec<f64> = bit_patterns(&[
+            0x0000_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0x7FF0_0000_0000_0000,
+            0xFFF0_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x800F_FFFF_FFFF_FFFF,
+            0x7FF8_0000_0000_0000,
+            0x7FF4_0000_DEAD_BEEF,
+            0xFFF8_0000_0000_1234,
+        ])
+        .into_iter()
+        .map(f64::from_bits)
+        .collect();
+        check_wire(
+            &f64s,
+            |v| v.to_le_bytes().to_vec(),
+            |b| f64::from_le_bytes(b.try_into().unwrap()),
+            f64::to_bits,
+        );
+    }
 }

@@ -21,6 +21,7 @@
 //! [`cuszp_core::chunk_ref_iter`] as-is.
 
 use cuszp_core::{DType, ErrorBound};
+use std::io::{ErrorKind, IoSlice, Write};
 
 /// Handshake magic — first 8 bytes a client sends.
 pub const HANDSHAKE_MAGIC: [u8; 8] = *b"CUSZPSV1";
@@ -210,6 +211,29 @@ pub fn single_chunk_container_len(frame_len: usize) -> usize {
     20 + frame_len
 }
 
+/// Write one frame given as consecutive `parts` (header, then payload
+/// pieces) with gathered writes, so the whole frame usually leaves in a
+/// single `writev`. A header written on its own would wake the peer
+/// before its payload exists, costing each message an extra pair of
+/// context switches whose timing depends on the scheduler.
+pub(crate) fn write_frame<const N: usize>(
+    w: &mut impl Write,
+    parts: [&[u8]; N],
+) -> std::io::Result<()> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut rest = &mut slices[..];
+    IoSlice::advance_slices(&mut rest, 0);
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +310,54 @@ mod tests {
         assert_eq!(r, [b'C', 0x04, 0x03, 0x02, 0x01]);
         let s = encode_response_header(STATUS_BUSY, 0);
         assert_eq!(s, [1, 0, 0, 0, 0]);
+    }
+
+    /// A writer that takes at most `cap` bytes per call and fails every
+    /// other call with `Interrupted`, like a busy socket.
+    struct Trickle {
+        cap: usize,
+        calls: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.cap);
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_survives_short_and_interrupted_writes() {
+        let payload: Vec<u8> = (0..=255).collect();
+        for cap in [1, 3, 5, 7, 300] {
+            let mut w = Trickle {
+                cap,
+                calls: 0,
+                got: Vec::new(),
+            };
+            write_frame(&mut w, [&b"HEAD!"[..], &[], &payload, b"T"]).unwrap();
+            assert_eq!(&w.got[..5], b"HEAD!");
+            assert_eq!(&w.got[5..261], &payload[..]);
+            assert_eq!(&w.got[261..], b"T");
+        }
+        let mut w = Trickle {
+            cap: 0,
+            calls: 0,
+            got: Vec::new(),
+        };
+        let e = write_frame(&mut w, [&b"x"[..]]).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::WriteZero);
+        write_frame(&mut w, [&[][..], &[]]).unwrap();
+        assert_eq!(w.calls, 1, "empty frames issue no write");
     }
 
     #[test]

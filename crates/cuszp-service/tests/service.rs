@@ -1,7 +1,8 @@
 //! End-to-end service tests over real sockets: concurrent byte-identical
-//! round trips, deterministic BUSY under a full admission queue,
-//! graceful shutdown drain, per-tenant cap enforcement, and error
-//! semantics.
+//! round trips, deterministic BUSY under a full admission queue, a
+//! queued request that waits for its slot, graceful shutdown drain,
+//! per-tenant cap enforcement, and error semantics on both ends of the
+//! wire.
 
 use cuszp_core::{CuszpConfig, DType, ErrorBound};
 use cuszp_service::{Client, Server, ServiceConfig, ServiceError, Tenant};
@@ -181,6 +182,106 @@ fn shutdown_drains_in_flight_requests() {
         result.unwrap() > 0,
         "client must receive the drained response"
     );
+}
+
+#[test]
+fn queued_request_waits_for_a_slot_then_runs() {
+    // One codec slot and one waiting place, 200 ms per job: A runs, B is
+    // admitted and waits for A's slot, C finds the queue full. The
+    // sleeps only order the three requests; nothing asserts on time.
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        queue_depth: 1,
+        service_floor: Duration::from_millis(200),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let mut clients: Vec<Client> = (0..3)
+        .map(|_| Client::connect(addr, tenant_f32(1 << 16)).unwrap())
+        .collect();
+    let mut c = clients.pop().unwrap();
+    let send = |mut client: Client, phase: f32| {
+        std::thread::spawn(move || {
+            let data = wave(4096, phase);
+            client
+                .compress_f32(&data)
+                .map(<[u8]>::len)
+                .map_err(|e| e.to_string())
+        })
+    };
+    let a = send(clients.pop().unwrap(), 0.0);
+    std::thread::sleep(Duration::from_millis(60));
+    let b = send(clients.pop().unwrap(), 1.0);
+    std::thread::sleep(Duration::from_millis(60));
+    match c.compress_f32(&wave(4096, 2.0)) {
+        Err(ServiceError::Busy) => {}
+        other => panic!("expected BUSY, got {:?}", other.map(<[u8]>::len)),
+    }
+    assert!(
+        a.join().unwrap().unwrap() > 0,
+        "the running request succeeds"
+    );
+    assert!(
+        b.join().unwrap().unwrap() > 0,
+        "the queued request runs, not BUSY"
+    );
+
+    let metrics = server.metrics();
+    assert_eq!(
+        metrics
+            .busy_rejections
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1
+    );
+    assert_eq!(server.shutdown(), 2, "A and B ran the codec; C did not");
+}
+
+#[test]
+fn client_rejects_a_ragged_decompress_reply() {
+    // A stand-in server that completes the handshake, then answers any
+    // request with `OK` and 5 bytes: one f32 and a stray byte.
+    use cuszp_service::protocol::*;
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let mut hello = [0u8; HANDSHAKE_BYTES];
+        s.read_exact(&mut hello).unwrap();
+        s.write_all(&encode_handshake_reply(STATUS_OK, 0, 1 << 16))
+            .unwrap();
+        let mut hdr = [0u8; REQUEST_HEADER_BYTES];
+        s.read_exact(&mut hdr).unwrap();
+        let len = u32::from_le_bytes(hdr[1..5].try_into().unwrap());
+        let mut payload = vec![0u8; len as usize];
+        s.read_exact(&mut payload).unwrap();
+        s.write_all(&encode_response_header(STATUS_OK, 5)).unwrap();
+        s.write_all(&[0, 0, 128, 63, 7]).unwrap();
+    });
+
+    let mut client = Client::connect(addr, tenant_f32(1 << 16)).unwrap();
+    let mut out = Vec::new();
+    match client.decompress_f32(&[1, 2, 3], &mut out) {
+        Err(ServiceError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+        other => panic!("expected an InvalidData error, got {other:?} with {out:?}"),
+    }
+    fake.join().unwrap();
+}
+
+#[test]
+fn shutdown_returns_for_a_server_bound_to_every_interface() {
+    // The accept loop blocks in `accept`; shutdown wakes it with a
+    // loopback connection even when the bind address is unspecified.
+    let server = Server::start(ServiceConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let port = server.addr().port();
+    let mut client = Client::connect(("127.0.0.1", port), tenant_f32(1 << 16)).unwrap();
+    assert!(client.compress_f32(&wave(1024, 0.0)).is_ok());
+    assert_eq!(server.shutdown(), 1);
 }
 
 #[test]

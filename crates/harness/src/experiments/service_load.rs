@@ -3,7 +3,7 @@
 //!
 //! Each concurrency level gets a **fresh** server (so its latency
 //! histogram and counters describe that level alone) with one codec
-//! worker and the default bounded admission queue. N client threads
+//! slot and the default bounded admission queue. N client threads
 //! hammer compress requests over real TCP sockets for a fixed window;
 //! `BUSY` replies are counted and retried after a short backoff —
 //! overload shows up as a busy rate, never as a hang. The level's p50
@@ -12,7 +12,7 @@
 //! exactly what operators will see.
 //!
 //! **Honest single-core reporting:** the container this repo grows in
-//! has one CPU. Server workers, connection handlers, and all N clients
+//! has one CPU. The accept loop, connection handlers, and all N clients
 //! time-share it, so added concurrency cannot add throughput here — the
 //! point of the sweep is that throughput *holds* (no collapse) while
 //! the queue bound converts excess offered load into BUSY replies and a
@@ -21,9 +21,9 @@
 //!
 //! The artifact also re-proves the service's headline invariant in situ:
 //! a steady-state request on a warmed connection performs **zero heap
-//! operations** process-wide (counted across server handler, admission
-//! queue, codec worker, and client when the `repro` binary's counting
-//! allocator is installed).
+//! operations** process-wide (counted across the connection thread that
+//! runs the codec, the admission gate, and the client when the `repro`
+//! binary's counting allocator is installed).
 
 use super::Ctx;
 use crate::report::Report;
@@ -66,7 +66,7 @@ pub struct BenchFile {
     /// throughput; the sweep then demonstrates bounded-queue behavior,
     /// not parallel speedup.
     pub host_cpus: usize,
-    /// Codec workers per server.
+    /// Codec slots per server (`ServiceConfig::workers`).
     pub workers: usize,
     /// Admission queue depth beyond in-service jobs.
     pub queue_depth: usize,
@@ -117,7 +117,7 @@ fn run_level(clients: usize, elems: usize, window: Duration) -> Row {
                         Err(ServiceError::Busy) => {
                             busy += 1;
                             // Back off briefly so the retry storm doesn't
-                            // starve the worker on a single core.
+                            // starve the running request on a single core.
                             std::thread::sleep(Duration::from_micros(200));
                         }
                         Err(e) => panic!("load client failed: {e}"),
@@ -158,7 +158,7 @@ fn run_level(clients: usize, elems: usize, window: Duration) -> Row {
 }
 
 /// Measure steady-state heap operations per request on one warmed
-/// connection (process-wide: handler, queue, worker, client).
+/// connection (process-wide: connection thread, admission gate, client).
 fn steady_state_heap_ops(elems: usize) -> u64 {
     let server = Server::start(ServiceConfig::default()).expect("bind service");
     let mut client = Client::connect(server.addr(), tenant((elems * 4) as u32)).expect("connect");
@@ -193,7 +193,7 @@ pub fn run(ctx: &Ctx) {
     let installed = alloc_counter::is_installed();
     let defaults = ServiceConfig::default();
     report.line(&format!(
-        "{} CPU(s); {} codec worker(s), queue depth {}; 64 KiB f32 payloads; \
+        "{} CPU(s); {} codec slot(s), queue depth {}; 64 KiB f32 payloads; \
          {:.2}s window per level; counting allocator {}",
         host_cpus,
         defaults.workers,
