@@ -31,6 +31,20 @@
 //! word writes instead of strided byte writes. Decoding runs the same
 //! three transposes backwards (each is an involution).
 //!
+//! ## The error bound
+//!
+//! Compression is lossy in one step only, the quantizer: every element
+//! `d` becomes `q = round(d / 2eb)` (ties away from zero), and decoding
+//! returns `q·2eb`, within `eb` of `d` (paper §4.1). Every tier of
+//! [`simd::quantize_blocks`] returns exactly [`crate::host_ref`]'s `q`,
+//! so the bound and the bytes are the reference's. The AVX-512 tier gets
+//! `q` without dividing. It multiplies by `fl(1/2eb)`; the product is
+//! within 3u·|y| of the quotient `y` (u = 2⁻⁵³). Where a lane lies
+//! within `2⁻⁵⁰·|y'| + 2⁻¹⁰²²` of a half-integer, the product's rounding
+//! is not provably the quotient's, and the vector is redone with the
+//! exact divide. Everything after the quantizer (Lorenzo, fixed-length
+//! planes, GS) is lossless.
+//!
 //! ## Entry points
 //!
 //! Four codec functions carry every path; the rest forward to them:

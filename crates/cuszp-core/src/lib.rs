@@ -114,6 +114,16 @@ pub fn value_range<T: FloatData>(data: &[T]) -> f64 {
     simd::value_range_at(simd::resolve_level(None), data)
 }
 
+/// The `(min, max)` pair behind [`value_range`]: the smallest and
+/// largest finite elements, widened to `f64`, or `(+∞, −∞)` when there
+/// are none. Pairs of disjoint parts merge with `f64::min` / `f64::max`
+/// into the whole's pair, so a range resolved part by part, as
+/// `(max − min).max(0.0)`, equals [`value_range`] of the whole (up to
+/// the sign of a zero range).
+pub fn value_min_max<T: FloatData>(data: &[T]) -> (f64, f64) {
+    simd::min_max_at(simd::resolve_level(None), data)
+}
+
 /// The cuSZp codec with a fixed configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cuszp {
@@ -297,10 +307,11 @@ impl Cuszp {
             return ChunkedCompressed::new();
         }
         let eb = self.resolve_bound(data, bound);
+        let mut scratch = Scratch::new(); // one arena serves every chunk
         ChunkedCompressed {
             chunks: data
                 .chunks(chunk_elems)
-                .map(|c| fast::compress(c, eb, self.config))
+                .map(|c| fast::compress_with(&mut scratch, c, eb, self.config, 1))
                 .collect(),
         }
     }

@@ -13,7 +13,7 @@
 //!
 //! | kernel | scalar | AVX2 | AVX-512 |
 //! |---|---|---|---|
-//! | quantize + Lorenzo | ✓ | (scalar) | 8-lane `vcvtpd2qq` |
+//! | quantize + Lorenzo | ✓ | (scalar) | 8-lane reciprocal multiply, exact fallback |
 //! | dequantize | ✓ | (scalar) | 8-lane `vcvtqq2pd` |
 //! | `L = 32` block encode | strip codec | `F ≤ 16` | `F ≤ 64` |
 //! | `L = 32` block decode | strip codec | `F ≤ 16`, fused | `F ≤ 64`, fused |
@@ -28,10 +28,14 @@
 //!
 //! ## Bit-exact vector quantization (AVX-512)
 //!
-//! The scalar quantizer (`(d / 2eb).round() as i64`) spends most of its
-//! time in `f64::round` (round **half away from zero** has no direct x86
-//! instruction) and in the saturating float→int cast. The vector path
-//! reproduces both **bit-exactly**:
+//! The scalar quantizer (`(d / 2eb).round() as i64`) divides, rounds
+//! **half away from zero** (no direct x86 instruction) and saturates.
+//! The vector path does not divide on its hot path: it multiplies by
+//! `fl(1/2eb)` and keeps the product's round-to-nearest-even integer
+//! only where a per-lane guard proves that equals the quotient's
+//! rounding (see [`quantize_blocks`] for the argument). A vector with any
+//! unproven lane — near a tie, huge, NaN or ±∞ — is redone exactly,
+//! reproducing the scalar form **bit-exactly**:
 //!
 //! - *Rounding*: `t = trunc(x)`, `r = x − t` (exact — Sterbenz for
 //!   `|t| ≥ 1`, trivially exact for `t = 0` or integral `x`), add
@@ -137,7 +141,8 @@ pub fn quantize_lorenzo_block<T: FloatData>(
 }
 
 /// [`quantize_lorenzo_block`] at an explicit tier (`level` must be at or
-/// below [`detect_level`] — [`resolve_level`] guarantees this).
+/// below [`detect_level`] — [`resolve_level`] guarantees this). The
+/// block is one block of [`quantize_blocks`], so it runs the same kernel.
 pub fn quantize_lorenzo_block_at<T: FloatData>(
     level: SimdLevel,
     block: &[T],
@@ -145,43 +150,20 @@ pub fn quantize_lorenzo_block_at<T: FloatData>(
     lorenzo: bool,
     resid: &mut [i64],
 ) -> u64 {
-    debug_assert!(resid.len() >= block.len());
-    debug_assert!(level <= detect_level());
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: FloatData is sealed, so T::DTYPE faithfully tags the
-        // element type; `level ≤ detect_level()` implies the features.
-        SimdLevel::Avx512 => unsafe {
-            match T::DTYPE {
-                DType::F32 => avx512_impl::quantize_lorenzo_f32(
-                    std::slice::from_raw_parts(block.as_ptr().cast::<f32>(), block.len()),
-                    eb,
-                    lorenzo,
-                    resid,
-                ),
-                DType::F64 => avx512_impl::quantize_lorenzo_f64(
-                    std::slice::from_raw_parts(block.as_ptr().cast::<f64>(), block.len()),
-                    eb,
-                    lorenzo,
-                    resid,
-                ),
-            }
-        },
-        // The AVX2 tier quantizes scalar: no exact vector f64↔i64.
-        _ => quantize_lorenzo_scalar(block, eb, lorenzo, resid, 0),
-    }
+    let mut max_abs = [0u64];
+    let n = block.len();
+    quantize_blocks(level, block, n, eb, lorenzo, &mut resid[..n], &mut max_abs);
+    max_abs[0]
 }
 
-/// Scalar form of [`quantize_lorenzo_block`], starting from predecessor
-/// `prev` (the vector path uses it for tails mid-block).
+/// Scalar form of [`quantize_lorenzo_block`].
 fn quantize_lorenzo_scalar<T: FloatData>(
     block: &[T],
     eb: f64,
     lorenzo: bool,
     resid: &mut [i64],
-    prev: i64,
 ) -> u64 {
-    let mut prev = prev;
+    let mut prev = 0i64;
     let mut max_abs = 0u64;
     for (dst, &d) in resid.iter_mut().zip(block) {
         let q = quantize(d, eb);
@@ -200,6 +182,19 @@ fn quantize_lorenzo_scalar<T: FloatData>(
 /// `max_abs.len() · l` residuals (tail block zero-padded), and
 /// `max_abs[b]` receives block `b`'s maximum residual magnitude. The
 /// Lorenzo predecessor resets at every block boundary.
+///
+/// Every tier returns `host_ref`'s integers, `round(d / 2eb) as i64`
+/// with the division rounded once and ties away from zero, so every
+/// residual is within `eb` of its element (paper §4.1). The AVX-512 tier
+/// gets there without dividing: one tile kernel multiplies by
+/// `fl(1/2eb)`, and a per-lane guard proves the product rounds to the
+/// same integer as the quotient. The product is within 3u·|y| of the
+/// quotient `y` (u = 2⁻⁵³), so where each lane of `y' = d·fl(1/2eb)` is
+/// farther than `2⁻⁵⁰·|y'| + 2⁻¹⁰²²` from a half-integer, the quotient
+/// lies strictly between the same two half-integers, is not a tie, and
+/// rounds to `rne(y')`. The guard also rejects NaN, ±∞ and `|y'| ≥ 2⁵⁰`;
+/// a vector with any rejected lane, or every vector when `1/2eb` is not
+/// a normal number, is redone with the exact divide.
 pub fn quantize_blocks<T: FloatData>(
     level: SimdLevel,
     data: &[T],
@@ -211,15 +206,43 @@ pub fn quantize_blocks<T: FloatData>(
 ) {
     debug_assert_eq!(resid.len(), max_abs.len() * l);
     debug_assert!(data.len() <= resid.len());
+    debug_assert!(level <= detect_level());
     let n = data.len();
-    for (b, m) in max_abs.iter_mut().enumerate() {
-        let start = b * l;
-        let end = (start + l).min(n);
-        let r = &mut resid[start..start + l];
-        *m = quantize_lorenzo_block_at(level, &data[start..end], eb, lorenzo, r);
-        for pad in r[end - start..].iter_mut() {
-            *pad = 0; // tail padding lives in the residual domain
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: FloatData is sealed, so T::DTYPE faithfully tags the
+        // element type; `level ≤ detect_level()` implies the features.
+        SimdLevel::Avx512 => unsafe {
+            match T::DTYPE {
+                DType::F32 => avx512_impl::quantize_blocks_f32(
+                    std::slice::from_raw_parts(data.as_ptr().cast::<f32>(), n),
+                    l,
+                    eb,
+                    lorenzo,
+                    resid,
+                    max_abs,
+                ),
+                DType::F64 => avx512_impl::quantize_blocks_f64(
+                    std::slice::from_raw_parts(data.as_ptr().cast::<f64>(), n),
+                    l,
+                    eb,
+                    lorenzo,
+                    resid,
+                    max_abs,
+                ),
+            }
+        },
+        // The AVX2 tier quantizes scalar: no exact vector f64↔i64.
+        _ => {
+            for (b, m) in max_abs.iter_mut().enumerate() {
+                let (start, end) = ((b * l).min(n), ((b + 1) * l).min(n));
+                *m =
+                    quantize_lorenzo_scalar(&data[start..end], eb, lorenzo, &mut resid[start..end]);
+            }
         }
+    }
+    for pad in resid[n..].iter_mut() {
+        *pad = 0; // tail padding lives in the residual domain
     }
 }
 
@@ -265,10 +288,21 @@ pub fn dequantize_slice<T: FloatData>(level: SimdLevel, q: &[i64], eb: f64, out:
 /// freedom is which zero wins a `-0.0` / `+0.0` tie, which can change
 /// only the sign of a zero range.
 pub fn value_range_at<T: FloatData>(level: SimdLevel, data: &[T]) -> f64 {
+    let (lo, hi) = min_max_at(level, data);
+    if hi >= lo {
+        hi - lo
+    } else {
+        0.0 // empty, or no finite values
+    }
+}
+
+/// The finite `(min, max)` of `data` at tier `level`, widened to `f64`;
+/// `(+∞, −∞)` when there are none (see [`value_range_at`]).
+pub(crate) fn min_max_at<T: FloatData>(level: SimdLevel, data: &[T]) -> (f64, f64) {
     debug_assert!(level <= detect_level());
     // SAFETY: FloatData is sealed, so T::DTYPE faithfully tags the
     // element type.
-    let (lo, hi) = unsafe {
+    unsafe {
         match T::DTYPE {
             DType::F32 => {
                 let s = std::slice::from_raw_parts(data.as_ptr().cast::<f32>(), data.len());
@@ -280,11 +314,6 @@ pub fn value_range_at<T: FloatData>(level: SimdLevel, data: &[T]) -> f64 {
                 std::slice::from_raw_parts(data.as_ptr().cast(), data.len()),
             ),
         }
-    };
-    if hi >= lo {
-        hi - lo
-    } else {
-        0.0 // empty, or no finite values
     }
 }
 
@@ -473,7 +502,6 @@ pub fn decode_block32_to<T: FloatData>(
 
 #[cfg(target_arch = "x86_64")]
 mod avx512_impl {
-    use super::quantize_lorenzo_scalar;
     use std::arch::x86_64::*;
 
     /// Byte-transpose permutation for `vpermb`: byte `8t + i` reads byte
@@ -803,59 +831,146 @@ mod avx512_impl {
         _mm512_mask_mov_epi64(q, m_nan, _mm512_setzero_si512())
     }
 
-    macro_rules! quantize_lorenzo {
+    /// The exact quantizer for one vector: `round(x / 2eb) as i64`, the
+    /// divide `host_ref` performs. Out of line and `#[cold]` so the
+    /// guarded multiply in [`quantize8`] stays a branch around a call:
+    /// written as an inline `if`, LLVM if-converts it and keeps the
+    /// divide on the hot path.
+    ///
+    /// # Safety
+    /// Requires `avx512f` and `avx512dq`.
+    #[cold]
+    #[inline(never)]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn quantize8_exact(x: __m512d, e2: f64) -> __m512i {
+        round_to_i64(_mm512_div_pd(x, _mm512_set1_pd(e2)))
+    }
+
+    /// `2⁻⁵⁰`: the guard's relative error budget, 8u against the
+    /// multiply path's worst case of 3u (u = 2⁻⁵³).
+    const GUARD_REL: f64 = 1.0 / (1u64 << 50) as f64;
+
+    /// Quantize 8 lanes by multiplying with `inv = fl(1/2eb)`: `y' =
+    /// x·inv` lies within 3u·|y| of `host_ref`'s `y = fl(x/2eb)`, so where
+    /// every lane's distance to the nearest half-integer exceeds
+    /// `2⁻⁵⁰·|y'| + 2⁻¹⁰²²`, `y` sits strictly inside the same
+    /// `(k − ½, k + ½)` as `y'`. Then `rne(y')` is `y`'s round-half-away
+    /// integer, `|y'| < 2⁵⁰` (a larger `|y'|` makes the budget exceed
+    /// ½, so the guard fails), and one convert needs no saturation or NaN
+    /// fix-up. NaN and ±∞ fail the compare. Any other vector is redone by
+    /// [`quantize8_exact`].
+    ///
+    /// # Safety
+    /// Requires `avx512f` and `avx512dq`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn quantize8(x: __m512d, inv: __m512d, e2: f64) -> __m512i {
+        let absmask = _mm512_castsi512_pd(_mm512_set1_epi64(0x7FFF_FFFF_FFFF_FFFFu64 as i64));
+        let y = _mm512_mul_pd(x, inv);
+        let q = _mm512_cvt_roundpd_epi64(y, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        // Wherever the guard can pass (|y'| < 2⁵⁰), `k` and `y' − k` are
+        // exact, and so is the slack near a tie (|y' − k| ≥ ¼, Sterbenz).
+        // Away from ties the slack exceeds ¼ and rounds by at most 2⁻⁵⁵,
+        // inside the budget's 5u·|y'| margin over the 3u error wherever
+        // the budget comes near ¼.
+        let k = _mm512_cvtepi64_pd(q);
+        let slack = _mm512_sub_pd(
+            _mm512_set1_pd(0.5),
+            _mm512_and_pd(_mm512_sub_pd(y, k), absmask),
+        );
+        let budget = _mm512_fmadd_pd(
+            _mm512_and_pd(y, absmask),
+            _mm512_set1_pd(GUARD_REL),
+            _mm512_set1_pd(f64::MIN_POSITIVE),
+        );
+        if _mm512_cmp_pd_mask(slack, budget, _CMP_GT_OQ) != 0xFF {
+            return quantize8_exact(x, e2);
+        }
+        q
+    }
+
+    /// Stamps out the quantize + Lorenzo tile kernel per element type.
+    /// One body serves whole blocks, the partial tail block and the
+    /// single-block API: each block runs in 8-lane vectors, the last one
+    /// masked when the block length is not a multiple of 8 or the data
+    /// ends inside it.
+    macro_rules! quantize_blocks {
         ($name:ident, $elem:ty, $load:expr) => {
+            /// Quantize + Lorenzo blocks of length `l` over `data` into
+            /// `resid[..data.len()]`; `max_abs[b]` receives block `b`'s
+            /// maximum residual magnitude.
+            ///
             /// # Safety
-            /// Requires `avx512f` and `avx512dq`.
+            /// Requires `avx512f` and `avx512dq`; `resid` holds at least
+            /// `data.len()` elements.
             #[target_feature(enable = "avx512f,avx512dq")]
-            pub unsafe fn $name(block: &[$elem], eb: f64, lorenzo: bool, resid: &mut [i64]) -> u64 {
-                let n = block.len();
-                let veb = _mm512_set1_pd(2.0 * eb);
-                let mut maxv = _mm512_setzero_si512();
-                // Previous vector of quantization integers, for the
-                // cross-lane Lorenzo shift; lane 7 seeds the next step.
-                let mut prevv = _mm512_setzero_si512();
-                let mut i = 0;
-                while i + 8 <= n {
-                    #[allow(clippy::redundant_closure_call)]
-                    let x = _mm512_div_pd(($load)(block.as_ptr().add(i)), veb);
-                    let q = round_to_i64(x);
-                    let v = if lorenzo {
-                        // [prev₇, q₀ … q₆] — the predecessor of each lane.
-                        let shifted = _mm512_alignr_epi64(q, prevv, 7);
-                        prevv = q;
-                        _mm512_sub_epi64(q, shifted)
-                    } else {
-                        q
+            pub unsafe fn $name(
+                data: &[$elem],
+                l: usize,
+                eb: f64,
+                lorenzo: bool,
+                resid: &mut [i64],
+                max_abs: &mut [u64],
+            ) {
+                debug_assert!(resid.len() >= data.len());
+                let e2 = 2.0 * eb;
+                let inv = 1.0 / e2;
+                // A subnormal or infinite reciprocal voids the error
+                // argument; NaN fails every guard, so each vector then
+                // takes the exact divide.
+                let vinv = _mm512_set1_pd(if inv.is_normal() { inv } else { f64::NAN });
+                let n = data.len();
+                for (b, m) in max_abs.iter_mut().enumerate() {
+                    let end = ((b + 1) * l).min(n);
+                    let mut i = b * l;
+                    // Previous vector of quantization integers, for the
+                    // cross-lane Lorenzo shift; lane 7 seeds the next step.
+                    let mut prevv = _mm512_setzero_si512();
+                    let mut maxv = _mm512_setzero_si512();
+                    // One 8-lane step; `lanes` masks the block's last
+                    // vector when fewer than 8 elements remain.
+                    let mut step = |i: usize, lanes: __mmask8| {
+                        #[allow(clippy::redundant_closure_call)]
+                        let q = quantize8(($load)(data.as_ptr().add(i), lanes), vinv, e2);
+                        let v = if lorenzo {
+                            // [prev₇, q₀ … q₆] — the predecessor of each lane.
+                            let shifted = _mm512_alignr_epi64(q, prevv, 7);
+                            prevv = q;
+                            _mm512_maskz_sub_epi64(lanes, q, shifted)
+                        } else {
+                            _mm512_maskz_mov_epi64(lanes, q)
+                        };
+                        maxv = _mm512_max_epu64(maxv, _mm512_abs_epi64(v));
+                        _mm512_mask_storeu_epi64(resid.as_mut_ptr().add(i), lanes, v);
                     };
-                    maxv = _mm512_max_epu64(maxv, _mm512_abs_epi64(v));
-                    _mm512_storeu_si512(resid.as_mut_ptr().add(i) as *mut _, v);
-                    i += 8;
+                    while i + 8 <= end {
+                        step(i, 0xFF);
+                        i += 8;
+                    }
+                    if i < end {
+                        step(i, 0xFF >> (8 - (end - i)));
+                    }
+                    *m = _mm512_reduce_max_epu64(maxv);
                 }
-                let mut max_abs = _mm512_reduce_max_epu64(maxv) as u64;
-                if i < n {
-                    // Scalar tail, seeded with the last vector lane's q.
-                    let mut lanes = [0i64; 8];
-                    _mm512_storeu_si512(lanes.as_mut_ptr() as *mut _, prevv);
-                    let tail_max = quantize_lorenzo_scalar(
-                        &block[i..],
-                        eb,
-                        lorenzo,
-                        &mut resid[i..n],
-                        if i == 0 { 0 } else { lanes[7] },
-                    );
-                    max_abs = max_abs.max(tail_max);
-                }
-                max_abs
             }
         };
     }
 
-    quantize_lorenzo!(quantize_lorenzo_f32, f32, |p: *const f32| {
-        _mm512_cvtps_pd(_mm256_loadu_ps(p))
+    // A full vector loads its 32 bytes unmasked: the 16-lane masked load
+    // spans 64 bytes even with the upper half off, so on data that is not
+    // 64-byte aligned every full vector would split a cache line.
+    quantize_blocks!(quantize_blocks_f32, f32, |p: *const f32, m: __mmask8| {
+        if m == 0xFF {
+            _mm512_cvtps_pd(_mm256_loadu_ps(p))
+        } else {
+            _mm512_cvtps_pd(_mm512_castps512_ps256(_mm512_maskz_loadu_ps(
+                m as __mmask16,
+                p,
+            )))
+        }
     });
-    quantize_lorenzo!(quantize_lorenzo_f64, f64, |p: *const f64| {
-        _mm512_loadu_pd(p)
+    quantize_blocks!(quantize_blocks_f64, f64, |p: *const f64, m: __mmask8| {
+        _mm512_maskz_loadu_pd(m, p)
     });
 
     /// # Safety
@@ -1214,7 +1329,7 @@ mod tests {
                 let mut fast = vec![0i64; data.len()];
                 let got = quantize_lorenzo_block_at(level, &data, 0.01, lorenzo, &mut fast);
                 let mut want = vec![0i64; data.len()];
-                let want_max = quantize_lorenzo_scalar(&data, 0.01, lorenzo, &mut want, 0);
+                let want_max = quantize_lorenzo_scalar(&data, 0.01, lorenzo, &mut want);
                 assert_eq!(fast, want, "level={level} lorenzo={lorenzo}");
                 assert_eq!(got, want_max);
             }
@@ -1230,7 +1345,7 @@ mod tests {
                 let mut fast = vec![0i64; len];
                 let got = quantize_lorenzo_block(block, 0.05, lorenzo, &mut fast);
                 let mut want = vec![0i64; len];
-                let want_max = quantize_lorenzo_scalar(block, 0.05, lorenzo, &mut want, 0);
+                let want_max = quantize_lorenzo_scalar(block, 0.05, lorenzo, &mut want);
                 assert_eq!(fast, want, "lorenzo={lorenzo} len={len}");
                 assert_eq!(got, want_max, "lorenzo={lorenzo} len={len}");
             }

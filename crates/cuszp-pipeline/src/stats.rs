@@ -18,7 +18,9 @@ pub struct StreamStats {
     pub bytes_in: u64,
     /// Compressed bytes produced (paper accounting: fraction ⓐ + ⓑ).
     pub bytes_out: u64,
-    /// Wall-clock seconds spent compressing (excludes queue waits).
+    /// Original bytes scanned to resolve REL bounds.
+    pub bytes_resolved: u64,
+    /// Wall-clock seconds spent resolving and compressing (no waits).
     pub busy_seconds: f64,
     /// Simulated GPU seconds from this stream's `gpu_sim` timeline
     /// (device mode only; 0 on the host path).
@@ -33,6 +35,7 @@ impl StreamStats {
             chunks: 0,
             bytes_in: 0,
             bytes_out: 0,
+            bytes_resolved: 0,
             busy_seconds: 0.0,
             sim_kernel_seconds: 0.0,
         }
